@@ -94,14 +94,13 @@ void BM_FullRunToConsensus(benchmark::State& state) {
   // End-to-end through the scenario API: a complete biased run at the
   // given n (backend=auto resolves to count-based). One-trial scenarios,
   // reseeded per iteration — measures compile + trial cost, i.e. what a
-  // --spec invocation actually pays.
+  // --spec invocation actually pays, with the execution plan it gets.
   const auto n = static_cast<count_t>(state.range(0));
   scenario::ScenarioSpec spec;
   spec.workload = "bias:" + std::to_string(n / 5);
   spec.n = n;
   spec.k = 8;
   spec.trials = 1;
-  spec.parallel = false;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     spec.seed = seed++;
@@ -129,21 +128,22 @@ void BM_ScenarioCompile(benchmark::State& state) {
 BENCHMARK(BM_ScenarioCompile)->Unit(benchmark::kMicrosecond);
 
 void BM_ParallelTrials(benchmark::State& state) {
-  // Trial-level OpenMP parallelism (the experiment harness's axis) through
-  // the scenario API. The workload is a near-balanced k = 32 start, whose
-  // ~k log n round count makes each trial heavy enough to amortize the
-  // fork/join.
-  const bool parallel = state.range(0) != 0;
+  // Trial-level OpenMP parallelism (the experiment harness's axis) on a
+  // compiled scenario, forced each way: arg 1 = Parallelism::Trials, arg 0
+  // = Parallelism::Rounds (trials in sequence; a count round is serial).
+  // The workload is a near-balanced k = 32 start, whose ~k log n round
+  // count makes each trial heavy enough to amortize the fork/join.
   scenario::ScenarioSpec spec;
   spec.workload = "near-balanced:0.25";
   spec.n = 200000;
   spec.k = 32;
   spec.trials = 16;
   spec.seed = 7;
-  spec.parallel = parallel;
   const scenario::Scenario compiled = scenario::Scenario::compile(spec);
+  CommonTrialOptions options = compiled.options();
+  options.parallelism = state.range(0) != 0 ? Parallelism::Trials : Parallelism::Rounds;
   for (auto _ : state) {
-    const TrialSummary summary = compiled.run();
+    const TrialSummary summary = run_trials(compiled.dynamics(), compiled.start(), options);
     benchmark::DoNotOptimize(summary.plurality_wins);
   }
 }

@@ -202,6 +202,10 @@ int main(int argc, char** argv) {
   WallTimer timer;
   scenario::ScenarioResult result;
   result.resolved = resolved;
+  result.plan = compiled.plan();
+  std::cout << "plan:      " << parallelism_name(result.plan->parallelism) << " on "
+            << result.plan->threads << " thread(s), simd " << result.plan->simd
+            << (result.plan->bytes_only ? ", bytes-only state" : "") << "\n";
   result.summary = compiled.run();
   result.wall_seconds = timer.seconds();
   const TrialSummary& summary = result.summary;

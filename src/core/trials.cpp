@@ -90,6 +90,12 @@ TrialSummary TrialOutcomes::summarize() const {
   return summary;
 }
 
+Parallelism resolve_parallelism(const CommonTrialOptions& options, TrialDriver driver,
+                                count_t nodes) {
+  if (options.parallelism) return *options.parallelism;
+  return plan_execution(options.trials, driver, nodes, execution_thread_budget()).parallelism;
+}
+
 TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
                         const CommonTrialOptions& options) {
   PLURALITY_REQUIRE(options.trials > 0, "run_trials: need at least one trial");
@@ -128,7 +134,16 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
   };
 
 #if defined(PLURALITY_HAVE_OPENMP)
-  if (options.parallel) {
+  const bool agent = options.backend == Backend::Agent;
+  count_t nodes = 0;  // the count driver's plan does not depend on n
+  if (agent && !options.parallelism) {
+    // Size the plan from trial 0's start. The factory is pure, so the
+    // extra call changes nothing.
+    rng::Xoshiro256pp gen = streams.stream(0);
+    nodes = factory(0, gen).n();
+  }
+  if (resolve_parallelism(options, agent ? TrialDriver::Agent : TrialDriver::Count, nodes) ==
+      Parallelism::Trials) {
 #pragma omp parallel
     {
       StepWorkspace ws;

@@ -1,11 +1,14 @@
-// Multi-trial experiment driver: R independent runs of a dynamics,
-// OpenMP-parallel over trials, each trial on its own hash-derived RNG
-// stream so results are identical no matter how many threads execute them.
+// Multi-trial experiment driver: R independent runs of a dynamics, each
+// trial on its own hash-derived RNG stream so results are identical no
+// matter how many threads execute them or how the execution planner
+// (core/execution_plan.hpp) spreads them over the OpenMP team.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
+#include "core/execution_plan.hpp"
 #include "core/runner.hpp"
 #include "rng/stream.hpp"
 #include "stats/quantile_sketch.hpp"
@@ -53,7 +56,12 @@ struct TrialSummary {
 struct CommonTrialOptions {
   std::uint64_t trials = 100;
   std::uint64_t seed = 1;
-  bool parallel = true;
+  /// How the trials use the OpenMP team. Unset (the default) = the
+  /// execution planner decides at the driver's entry, from the trial count,
+  /// the driver, the population and execution_thread_budget(). Setting it
+  /// forces one shape (tests and measurements); results are bitwise the
+  /// same either way.
+  std::optional<Parallelism> parallelism;
   round_t max_rounds = 1'000'000;
   /// Stepping pipeline (see core/engine_mode.hpp). Count backend: Strict =
   /// xoshiro, Batched = PhiloxStream. Graph backend: Strict = fused
@@ -123,6 +131,12 @@ class TrialOutcomes {
   std::vector<std::uint8_t> won_, consensus_, limited_, predicate_;
   std::vector<double> round_samples_;
 };
+
+/// The parallelism a driver runs `options` with: the forced value when set,
+/// else plan_execution(options.trials, driver, nodes,
+/// execution_thread_budget()). `nodes` is the population one round covers.
+[[nodiscard]] Parallelism resolve_parallelism(const CommonTrialOptions& options,
+                                              TrialDriver driver, count_t nodes);
 
 /// Runs `options.trials` independent runs from factory-generated starts —
 /// the count-path trial driver (clique model; for sparse topologies see

@@ -170,7 +170,8 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
   };
 
 #if defined(PLURALITY_HAVE_OPENMP)
-  if (options.parallel) {
+  if (resolve_parallelism(options, TrialDriver::Graph, graph.num_nodes()) ==
+      Parallelism::Trials) {
 #pragma omp parallel
     {
       GraphStepWorkspace ws;

@@ -6,8 +6,10 @@
 // Each trial gets its own hash-derived stream family (layout, stepping, and
 // factory/adversary randomness all derive from the trial index), so results
 // are bitwise identical no matter how many OpenMP threads execute the
-// trials. One GraphStepWorkspace per executing thread is reused across all
-// of that thread's trials — warm trials allocate nothing per round.
+// trials, or whether the execution planner (core/execution_plan.hpp) gives
+// the team to the trials or to each round. One GraphStepWorkspace per
+// executing thread is reused across all of that thread's trials — warm
+// trials allocate nothing per round.
 #pragma once
 
 #include "core/adversary.hpp"

@@ -386,6 +386,11 @@ bool batched_simd_active() {
   return active_ops() != nullptr;
 }
 
+const char* batched_simd_isa() {
+  const simd::Ops* ops = active_ops();
+  return ops != nullptr ? ops->name : "scalar";
+}
+
 void set_batched_tile_nodes_override(std::size_t tile_nodes) {
   g_tile_override.store(tile_nodes, std::memory_order_relaxed);
 }

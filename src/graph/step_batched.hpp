@@ -47,6 +47,10 @@ void set_batched_simd_enabled(bool enabled);
 /// True when a SIMD fast path exists on this host (and is enabled).
 [[nodiscard]] bool batched_simd_active();
 
+/// The ISA of that fast path ("avx512" / "avx2"), or "scalar" — what the
+/// execution plan echoes.
+[[nodiscard]] const char* batched_simd_isa();
+
 /// Overrides the pipeline tile size (0 = derive from kBatchedWordBudget).
 /// Exists to pin tile-size invariance by test.
 void set_batched_tile_nodes_override(std::size_t tile_nodes);

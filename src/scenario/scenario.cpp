@@ -6,6 +6,7 @@
 #include "core/workloads.hpp"
 #include "graph/graph_trials.hpp"
 #include "graph/layout.hpp"
+#include "graph/step_batched.hpp"
 #include "graph/topology_registry.hpp"
 #include "rng/stream.hpp"
 #include "support/check.hpp"
@@ -66,7 +67,6 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   CommonTrialOptions& options = compiled.options_;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallel = spec.parallel;
   options.max_rounds = spec.max_rounds;
   options.mode = spec.engine == "batched"  ? EngineMode::Batched
                  : spec.engine == "push"   ? EngineMode::Push
@@ -94,6 +94,22 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   return compiled;
 }
 
+ExecutionPlan Scenario::plan() const {
+  const TrialDriver driver = use_graph_ ? TrialDriver::Graph
+                             : options_.backend == Backend::Agent ? TrialDriver::Agent
+                                                                  : TrialDriver::Count;
+  ExecutionPlan plan =
+      plan_execution(options_.trials, driver, start_.n(), execution_thread_budget());
+  if (use_graph_) {
+    plan.bytes_only = graph::graph_bytes_only_auto(start_.n(), start_.k(),
+                                                   adversary_ != nullptr);
+    if (options_.mode != EngineMode::Strict && graph::batched_has_kernel(*dynamics_)) {
+      plan.simd = graph::batched_simd_isa();
+    }
+  }
+  return plan;
+}
+
 TrialSummary Scenario::run(RoundObserver* observer,
                            const CancellationToken* cancel) const {
   if (observer == nullptr && cancel == nullptr) {
@@ -116,6 +132,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, RoundObserver* observer,
   const Scenario compiled = Scenario::compile(spec);
   ScenarioResult result;
   result.resolved = compiled.spec();
+  result.plan = compiled.plan();
   WallTimer timer;
   result.summary = compiled.run(observer, cancel);
   result.wall_seconds = timer.seconds();
@@ -151,6 +168,13 @@ io::JsonValue scenario_result_to_json(const ScenarioResult& result) {
     rounds.set("quantiles_exact", summary.round_quantiles.exact());
   }
 
+  if (result.plan) {
+    io::JsonValue& plan = doc.set("plan", io::JsonValue::object());
+    plan.set("parallelism", parallelism_name(result.plan->parallelism));
+    plan.set("threads", result.plan->threads);
+    plan.set("bytes_only", result.plan->bytes_only);
+    plan.set("simd", result.plan->simd);
+  }
   doc.set("wall_seconds", result.wall_seconds);
   return doc;
 }

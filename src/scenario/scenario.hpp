@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/adversary.hpp"
 #include "core/dynamics.hpp"
@@ -50,6 +51,13 @@ class Scenario {
   /// pointer already wired).
   [[nodiscard]] const CommonTrialOptions& options() const { return options_; }
 
+  /// How run() executes when called from here: the execution planner's
+  /// parallelism for this scenario's trial count and driver under the
+  /// current thread budget (execution_thread_budget() — 1 inside a sweep's
+  /// cells-in-parallel team), plus the graph driver's resolved memory mode
+  /// and SIMD path. What run_scenario echoes into the result.
+  [[nodiscard]] ExecutionPlan plan() const;
+
   /// Runs the scenario's trials and reduces them to the shared summary.
   /// `observer` (optional) is threaded into the trial driver's per-round
   /// probe pipeline (core/observer.hpp) — it never changes the summary
@@ -80,6 +88,11 @@ struct ScenarioResult {
   ScenarioSpec resolved;
   TrialSummary summary;
   double wall_seconds = 0.0;
+  /// How the trials ran (Scenario::plan() at run time). nullopt = not
+  /// recorded: sweep cells written under zero_wall_times leave it out, as
+  /// they zero the wall time, so their bytes do not depend on the thread
+  /// budget of whoever computed them.
+  std::optional<ExecutionPlan> plan;
 };
 
 /// parse -> validate -> compile -> run in one call — the single entry
@@ -91,8 +104,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, RoundObserver* observer = 
 
 /// The result as an ordered JSON document (schema_version 1): the resolved
 /// spec echo, the summary counters/rates, round statistics (mean/min/max
-/// and p50/p95 where any trial stopped), and timing. Written via the
-/// existing src/io writer.
+/// and p50/p95 where any trial stopped), the execution plan when recorded
+/// ("plan": parallelism, threads, bytes_only, simd), and timing. Written
+/// via the existing src/io writer.
 io::JsonValue scenario_result_to_json(const ScenarioResult& result);
 
 }  // namespace plurality::scenario

@@ -93,7 +93,9 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
   } else if (key == "max_rounds") {
     spec.max_rounds = value.as_uint();
   } else if (key == "parallel") {
-    spec.parallel = value.as_bool();
+    PLURALITY_REQUIRE(false, "scenario: 'parallel' is no longer a spec field; the execution "
+                             "planner now decides how trials use the threads, and results "
+                             "are identical either way — drop the field");
   } else if (key == "shuffle_layout") {
     spec.shuffle_layout = value.as_bool();
   } else {
@@ -101,7 +103,7 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
                       "scenario: unknown field '"
                           << key << "'; known: dynamics, workload, topology, adversary, "
                           << "backend, engine, stop, topology_backend, graph_layout, "
-                          << "n, k, trials, seed, max_rounds, parallel, shuffle_layout, "
+                          << "n, k, trials, seed, max_rounds, shuffle_layout, "
                           << "tile_nodes, prefetch_distance");
   }
 }
@@ -168,7 +170,7 @@ void ScenarioSpec::set_field(const std::string& key, const std::string& value) {
   if (key == "n" || key == "k" || key == "trials" || key == "seed" ||
       key == "max_rounds" || key == "tile_nodes" || key == "prefetch_distance") {
     assign_field(*this, key, io::JsonValue(parse_spec_uint(key, value)));
-  } else if (key == "parallel" || key == "shuffle_layout") {
+  } else if (key == "shuffle_layout") {
     assign_field(*this, key, io::JsonValue(parse_spec_bool(key, value)));
   } else {
     assign_field(*this, key, io::JsonValue(value));
@@ -225,7 +227,6 @@ io::JsonValue ScenarioSpec::to_json() const {
   doc.set("trials", trials);
   doc.set("seed", seed);
   doc.set("max_rounds", std::uint64_t{max_rounds});
-  doc.set("parallel", parallel);
   doc.set("shuffle_layout", shuffle_layout);
   doc.set("tile_nodes", std::uint64_t{tile_nodes});
   doc.set("prefetch_distance", std::uint64_t{prefetch_distance});
@@ -240,7 +241,6 @@ std::string ScenarioSpec::to_spec_string() const {
      << " graph_layout=" << graph_layout << " n=" << n
      << " k=" << k << " trials=" << trials
      << " seed=" << seed << " max_rounds=" << max_rounds
-     << " parallel=" << (parallel ? "true" : "false")
      << " shuffle_layout=" << (shuffle_layout ? "true" : "false")
      << " tile_nodes=" << tile_nodes << " prefetch_distance=" << prefetch_distance;
   return os.str();

@@ -14,8 +14,12 @@
 //   backend    auto | count | agent | graph
 //   engine     strict | batched | push  (core/engine_mode.hpp)
 //   stop       consensus | m-plurality:<M> | any-reaches:<T>
-//   n, k, trials, seed, max_rounds, parallel, shuffle_layout,
+//   n, k, trials, seed, max_rounds, shuffle_layout,
 //   graph_layout, tile_nodes, prefetch_distance
+//
+// How the trials use the threads is not a spec field: the execution
+// planner (core/execution_plan.hpp) decides it at run time, and parsing a
+// `parallel` field fails with a message saying so.
 //
 // Specs parse from "key=value" strings or JSON files, validate with
 // actionable errors, compile (scenario.hpp) into the right backend, and
@@ -86,7 +90,6 @@ struct ScenarioSpec {
   std::uint64_t trials = 20;
   std::uint64_t seed = 1;
   round_t max_rounds = 1'000'000;
-  bool parallel = true;
   /// Graph backend only: shuffle the node layout per trial.
   bool shuffle_layout = true;
   /// Graph backend cache-behavior knobs, forwarded as StepTuning

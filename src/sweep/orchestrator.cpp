@@ -66,6 +66,7 @@ io::JsonValue cell_result_to_json(const CellOutcome& outcome) {
   result.resolved.backend = outcome.resolved_backend;
   result.summary = outcome.summary;
   result.wall_seconds = outcome.metrics.wall_seconds;
+  result.plan = outcome.plan;
   io::JsonValue doc = scenario::scenario_result_to_json(result);
 
   io::JsonValue& cell = doc.set("cell", io::JsonValue::object());
@@ -380,7 +381,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     });
   }
 
-  const auto run_cell = [&](std::size_t i, bool in_parallel_phase) {
+  const auto run_cell = [&](std::size_t i) {
     CellOutcome& cell = out.cells[i];
     if (shutdown_requested()) return;  // skipped cells stay Pending (resumable)
 
@@ -391,7 +392,6 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     ctx.cell_timeout_seconds = options.cell_timeout_seconds;
     ctx.max_retries = options.max_retries;
     ctx.retry_backoff_seconds = options.retry_backoff_seconds;
-    ctx.force_serial_trials = in_parallel_phase && parallel_cells;
     ctx.prior_attempts = prior_attempts[i];
     ctx.injector = &injector;
     ctx.watchdog = &watchdog;
@@ -411,17 +411,17 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   if (parallel_cells) {
 #pragma omp parallel for schedule(dynamic, 1)
     for (std::size_t p = 0; p < parallel_batch.size(); ++p) {
-      run_cell(parallel_batch[p], true);
+      run_cell(parallel_batch[p]);
     }
   } else {
-    for (const std::size_t i : parallel_batch) run_cell(i, false);
+    for (const std::size_t i : parallel_batch) run_cell(i);
   }
 #else
-  for (const std::size_t i : parallel_batch) run_cell(i, false);
+  for (const std::size_t i : parallel_batch) run_cell(i);
 #endif
   // Degraded phase: cells whose estimate does not fit next to siblings run
-  // alone, with their spec's own trial parallelism intact.
-  for (const std::size_t i : serial_batch) run_cell(i, false);
+  // alone, with the whole thread budget for the execution planner.
+  for (const std::size_t i : serial_batch) run_cell(i);
 
   if (progress_thread.joinable()) {
     progress_stop.store(true, std::memory_order_release);

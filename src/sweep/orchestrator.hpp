@@ -3,10 +3,10 @@
 //
 // Execution model: cells are the parallel unit. The expanded grid is
 // scheduled work-stealing across OpenMP threads (schedule(dynamic, 1)), and
-// each cell runs its trials sequentially inside its thread (the cell spec's
-// `parallel` flag is forced off while cells run in parallel — nested teams
-// would oversubscribe, and trial results are thread-count invariant by
-// construction, so this changes nothing but the schedule). Every cell's
+// each cell runs its trials inside its own thread: the execution planner
+// (core/execution_plan.hpp) sees a thread budget of 1 inside the cells'
+// team, and trial results are thread-count invariant by construction, so
+// this changes nothing but the schedule. Every cell's
 // randomness derives from its own spec's seed, so WHICH thread runs WHICH
 // cell — or how many times a cell is retried — can never affect any result.
 //
@@ -44,6 +44,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,9 @@ struct CellOutcome {
   /// Full summary — populated for freshly run cells only (resumed cells
   /// reload metrics, not the sketch; summary.trials == 0 marks that).
   TrialSummary summary;
+  /// How the cell's trials ran (ScenarioResult::plan), echoed into the
+  /// cell file. Freshly run cells only, and never under zero_wall_times.
+  std::optional<ExecutionPlan> plan;
 };
 
 struct SweepOptions {
@@ -141,8 +145,8 @@ struct SweepOptions {
   /// out_dir is an error — results must never be clobbered silently.
   bool force = false;
   /// Run cells across OpenMP threads (cells' own trial loops then run
-  /// sequentially). Off: cells run one at a time, trials parallel as the
-  /// spec says.
+  /// sequentially). Off: cells run one at a time, each with the whole
+  /// thread budget for the execution planner to spend.
   bool cells_in_parallel = true;
   /// CI shrink: override every cell's trial count (0 = use spec values).
   /// Applied BEFORE expansion, so the manifest and resume matching see the

@@ -106,7 +106,7 @@ TEST(GoldenTrajectories, TrialSummaries) {
     CommonTrialOptions options;
     options.trials = 32;
     options.seed = 99;
-    options.parallel = false;
+    options.parallelism = Parallelism::Rounds;
     const TrialSummary s = run_trials(dyn, Configuration({4000, 3500, 2500}), options);
     EXPECT_EQ(s.consensus_count, 32u);
     EXPECT_EQ(s.plurality_wins, 32u);
@@ -117,7 +117,7 @@ TEST(GoldenTrajectories, TrialSummaries) {
     CommonTrialOptions options;
     options.trials = 24;
     options.seed = 7;
-    options.parallel = false;
+    options.parallelism = Parallelism::Rounds;
     const TrialSummary s = run_trials(
         dyn, UndecidedState::extend_with_undecided(Configuration({4000, 3500, 2500})),
         options);
@@ -211,7 +211,7 @@ TrialSummary majority_trials(bool parallel) {
   CommonTrialOptions options;
   options.trials = 48;
   options.seed = 2026;
-  options.parallel = parallel;
+  options.parallelism = parallel ? Parallelism::Trials : Parallelism::Rounds;
   return run_trials(dyn, Configuration({2000, 1800, 1200}), options);
 }
 

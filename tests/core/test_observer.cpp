@@ -141,12 +141,12 @@ TEST(ObserverEquivalence, ThreadCountInvariantWithObserver) {
 
   ProbeObserver parallel_probe = make_probe(options.trials);
   options.observer = &parallel_probe;
-  options.parallel = true;
+  options.parallelism = Parallelism::Trials;
   const TrialSummary parallel_summary = run_trials(dyn, start, options);
 
   ProbeObserver serial_probe = make_probe(options.trials);
   options.observer = &serial_probe;
-  options.parallel = false;
+  options.parallelism = Parallelism::Rounds;
   const TrialSummary serial_summary = run_trials(dyn, start, options);
 
   expect_same_summary(parallel_summary, serial_summary);
@@ -212,7 +212,7 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
   {
     SequenceObserver seq(5);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallel = false;
+    options.parallelism = Parallelism::Rounds;
     options.observer = &seq;
     (void)run_trials(dyn, start, options);
     EXPECT_TRUE(seq.all_complete());
@@ -220,7 +220,7 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
   {
     SequenceObserver seq(5);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallel = false;
+    options.parallelism = Parallelism::Rounds;
     options.backend = Backend::Agent;
     options.observer = &seq;
     (void)run_trials(dyn, start, options);
@@ -231,7 +231,7 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
     rng::Xoshiro256pp topo_gen(4);
     const graph::AgentGraph graph = graph::make_topology("regular:6", 2000, topo_gen);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallel = false;
+    options.parallelism = Parallelism::Rounds;
     options.observer = &seq;
     (void)run_graph_trials(dyn, graph, start, options);
     EXPECT_TRUE(seq.all_complete());

@@ -45,9 +45,9 @@ TEST(Trials, ParallelAndSequentialAgreeExactly) {
   CommonTrialOptions parallel_options;
   parallel_options.trials = 32;
   parallel_options.seed = 3;
-  parallel_options.parallel = true;
+  parallel_options.parallelism = Parallelism::Trials;
   CommonTrialOptions serial_options = parallel_options;
-  serial_options.parallel = false;
+  serial_options.parallelism = Parallelism::Rounds;
 
   const TrialSummary parallel_summary = run_trials(dynamics, start, parallel_options);
   const TrialSummary serial_summary = run_trials(dynamics, start, serial_options);
@@ -65,7 +65,7 @@ TEST(Trials, FactoryReceivesTrialIndexAndStream) {
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 4;
-  options.parallel = false;
+  options.parallelism = Parallelism::Rounds;
   const TrialSummary summary = run_trials(
       dynamics,
       [&seen](std::uint64_t trial, rng::Xoshiro256pp& gen) {

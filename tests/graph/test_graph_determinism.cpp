@@ -244,7 +244,7 @@ TEST(GoldenGraphTrajectories, GraphTrialSummary) {
   CommonTrialOptions options;
   options.trials = 24;
   options.seed = 31;
-  options.parallel = false;
+  options.parallelism = Parallelism::Rounds;
   options.max_rounds = 4000;
   const TrialSummary s =
       run_graph_trials(dyn, graph, workloads::additive_bias(300, 3, 90), options);
@@ -298,7 +298,7 @@ TrialSummary torus_trials(bool parallel) {
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 2026;
-  options.parallel = parallel;
+  options.parallelism = parallel ? Parallelism::Trials : Parallelism::Rounds;
   options.max_rounds = 3000;
   return run_graph_trials(dyn, graph, workloads::additive_bias(100, 2, 40), options);
 }

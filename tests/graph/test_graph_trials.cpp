@@ -63,7 +63,7 @@ TEST(GraphTrials, FactoryReceivesTrialIndex) {
   CommonTrialOptions options;
   options.trials = 6;
   options.seed = 3;
-  options.parallel = false;
+  options.parallelism = Parallelism::Rounds;
   options.max_rounds = 1;
   std::vector<std::uint8_t> seen(6, 0);
   const TrialSummary s = run_graph_trials(

@@ -96,7 +96,7 @@ TEST(MetricsObserver, CountsAreExact) {
   const count_t n = 3000;
   const Configuration start = workloads::additive_bias(n, 3, 300);
   CommonTrialOptions options = base_options(6, 17);
-  options.parallel = false;
+  options.parallelism = Parallelism::Rounds;
 
   MetricsRegistry registry;
   MetricsObserver observer(registry);
@@ -163,14 +163,14 @@ TEST(MetricsObserver, SharedRegistryAcrossParallelTrialsStaysExact) {
   const count_t n = 2000;
   const Configuration start = workloads::additive_bias(n, 3, 200);
   CommonTrialOptions serial = base_options(12, 7);
-  serial.parallel = false;
+  serial.parallelism = Parallelism::Rounds;
   MetricsRegistry serial_registry;
   MetricsObserver serial_observer(serial_registry);
   serial.observer = &serial_observer;
   (void)run_trials(dyn, start, serial);
 
   CommonTrialOptions parallel = base_options(12, 7);
-  parallel.parallel = true;
+  parallel.parallelism = Parallelism::Trials;
   MetricsRegistry parallel_registry;
   MetricsObserver parallel_observer(parallel_registry);
   parallel.observer = &parallel_observer;

@@ -1,0 +1,99 @@
+// Scenario::plan() and the "plan" block of a ScenarioResult: what the
+// execution planner resolved for a spec, echoed into the result JSON.
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "graph/step_batched.hpp"
+#include "scenario/scenario.hpp"
+
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
+#endif
+
+namespace plurality::scenario {
+namespace {
+
+#if defined(PLURALITY_HAVE_OPENMP)
+
+struct ThreadCountGuard {
+  explicit ThreadCountGuard(int threads) : saved(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ThreadCountGuard() { omp_set_num_threads(saved); }
+  int saved;
+};
+
+// A single gossip trial big enough for the rounds to take the team.
+const std::string kSingleGossip =
+    "dynamics=3-majority topology=gossip workload=bias:2c n=131072 k=8 trials=1 "
+    "engine=batched max_rounds=2";
+
+TEST(ExecutionPlanEcho, SingleLargeTrialGivesTheRoundsTheTeam) {
+  ThreadCountGuard guard(4);
+  const Scenario compiled = Scenario::compile(ScenarioSpec::parse(kSingleGossip));
+  const ExecutionPlan plan = compiled.plan();
+  EXPECT_EQ(plan.parallelism, Parallelism::Rounds);
+  EXPECT_EQ(plan.threads, 4);
+  EXPECT_FALSE(plan.bytes_only);  // n < 2^26
+  EXPECT_EQ(plan.simd, graph::batched_simd_isa());
+
+  const io::JsonValue doc =
+      scenario_result_to_json(run_scenario(ScenarioSpec::parse(kSingleGossip)));
+  const io::JsonValue& echoed = doc.at("plan");
+  EXPECT_EQ(echoed.at("parallelism").as_string(), "rounds");
+  EXPECT_EQ(echoed.at("threads").as_uint(), 4u);
+  EXPECT_FALSE(echoed.at("bytes_only").as_bool());
+  EXPECT_EQ(echoed.at("simd").as_string(), plan.simd);
+}
+
+TEST(ExecutionPlanEcho, ManyTrialsAndCountRunsKeepTheTrialTeam) {
+  ThreadCountGuard guard(4);
+  const Scenario many = Scenario::compile(ScenarioSpec::parse(
+      "dynamics=3-majority topology=gossip workload=bias:2c n=131072 k=8 trials=8 "
+      "engine=batched"));
+  EXPECT_EQ(many.plan().parallelism, Parallelism::Trials);
+
+  // The count driver's rounds have no parallel loop, and no SIMD path.
+  const Scenario count = Scenario::compile(ScenarioSpec::parse(
+      "dynamics=3-majority topology=clique workload=bias:2c n=1e9 k=8 trials=1"));
+  ASSERT_FALSE(count.uses_graph_driver());
+  EXPECT_EQ(count.plan().parallelism, Parallelism::Trials);
+  EXPECT_EQ(count.plan().simd, "scalar");
+
+  // The strict graph engine takes no runtime-dispatched SIMD kernel.
+  const Scenario strict = Scenario::compile(ScenarioSpec::parse(
+      "dynamics=3-majority topology=gossip workload=bias:2c n=131072 k=8 trials=1"));
+  EXPECT_EQ(strict.plan().simd, "scalar");
+}
+
+TEST(ExecutionPlanEcho, InsideATeamTheBudgetIsOneThread) {
+  ThreadCountGuard guard(4);
+  const Scenario compiled = Scenario::compile(ScenarioSpec::parse(kSingleGossip));
+  ExecutionPlan in_team;
+  bool active = false;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      active = omp_in_parallel() != 0;
+      in_team = compiled.plan();
+    }
+  }
+  if (!active) GTEST_SKIP() << "the runtime gave the team one thread";
+  EXPECT_EQ(in_team.threads, 1);
+  EXPECT_EQ(in_team.parallelism, Parallelism::Trials);
+}
+
+#endif  // PLURALITY_HAVE_OPENMP
+
+TEST(ExecutionPlanEcho, BytesOnlyIsEchoedWhereItAutoEnables) {
+  // Compile only: n = 2^26 is where the bytes-only workspace turns on.
+  const Scenario compiled = Scenario::compile(ScenarioSpec::parse(
+      "dynamics=3-majority topology=gossip workload=bias:2c n=67108864 k=8 trials=1 "
+      "engine=batched"));
+  EXPECT_TRUE(compiled.plan().bytes_only);
+}
+
+}  // namespace
+}  // namespace plurality::scenario

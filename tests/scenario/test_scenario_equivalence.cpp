@@ -55,7 +55,7 @@ TrialSummary legacy_count_run(const ScenarioSpec& spec, const Adversary* adversa
   CommonTrialOptions options;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallel = spec.parallel;
+  options.parallelism = Parallelism::Trials;
   options.max_rounds = spec.max_rounds;
   options.backend = backend;
   options.mode = engine;
@@ -80,7 +80,7 @@ TrialSummary legacy_graph_run(const ScenarioSpec& spec, const Adversary* adversa
   CommonTrialOptions options;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallel = spec.parallel;
+  options.parallelism = Parallelism::Trials;
   options.shuffle_layout = spec.shuffle_layout;
   options.max_rounds = spec.max_rounds;
   options.adversary = adversary;

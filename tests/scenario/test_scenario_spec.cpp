@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -22,7 +23,7 @@ TEST(ScenarioSpec, DefaultsValidate) {
 TEST(ScenarioSpec, ParseStringForm) {
   const ScenarioSpec spec = ScenarioSpec::parse(
       "dynamics=undecided topology=regular:8 workload=bias:2c n=1e6 k=5 "
-      "engine=batched trials=32 seed=9 max_rounds=5000 parallel=false "
+      "engine=batched trials=32 seed=9 max_rounds=5000 "
       "shuffle_layout=true adversary=random:100 backend=graph");
   EXPECT_EQ(spec.dynamics, "undecided");
   EXPECT_EQ(spec.topology, "regular:8");
@@ -33,7 +34,6 @@ TEST(ScenarioSpec, ParseStringForm) {
   EXPECT_EQ(spec.trials, 32u);
   EXPECT_EQ(spec.seed, 9u);
   EXPECT_EQ(spec.max_rounds, 5000u);
-  EXPECT_FALSE(spec.parallel);
   EXPECT_TRUE(spec.shuffle_layout);
   EXPECT_EQ(spec.adversary, "random:100");
   EXPECT_EQ(spec.backend, "graph");
@@ -63,7 +63,33 @@ TEST(ScenarioSpec, MalformedStringsThrow) {
   EXPECT_THROW(ScenarioSpec::parse("n=12 n=13"), CheckError);         // duplicate
   EXPECT_THROW(ScenarioSpec::parse("n=abc"), CheckError);             // bad number
   EXPECT_THROW(ScenarioSpec::parse("n=1.5"), CheckError);             // non-integral
-  EXPECT_THROW(ScenarioSpec::parse("parallel=maybe"), CheckError);    // bad bool
+  EXPECT_THROW(ScenarioSpec::parse("shuffle_layout=maybe"), CheckError);  // bad bool
+}
+
+TEST(ScenarioSpec, ParallelFieldIsRejectedNamingThePlanner) {
+  // How trials use the threads is the execution planner's call now; every
+  // face of the spec refuses the old field with a message that says so.
+  const auto message = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const char* value : {"true", "false", "0", "1"}) {
+    const std::string text = std::string("n=100 parallel=") + value;
+    EXPECT_NE(message([&] { (void)ScenarioSpec::parse(text); }).find("planner"),
+              std::string::npos)
+        << text;
+  }
+  ScenarioSpec spec;
+  EXPECT_NE(message([&] { spec.set_field("parallel", "false"); }).find("planner"),
+            std::string::npos);
+  EXPECT_NE(message([] {
+              (void)ScenarioSpec::from_json(io::parse_json(R"({"parallel": false})"));
+            }).find("planner"),
+            std::string::npos);
 }
 
 TEST(ScenarioSpec, JsonRoundTrips) {
@@ -77,7 +103,7 @@ TEST(ScenarioSpec, JsonRoundTrips) {
   spec.n = 2000;
   spec.k = 4;
   spec.trials = 3;
-  spec.parallel = false;
+  spec.shuffle_layout = false;
 
   const io::JsonValue emitted = spec.to_json();
   const ScenarioSpec reparsed =
@@ -90,7 +116,8 @@ TEST(ScenarioSpec, JsonUnknownOrMistypedFieldsThrow) {
   EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"dynamic": "voter"})")),
                CheckError);  // typo'd key must not silently run defaults
   EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"n": "many"})")), CheckError);
-  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"parallel": 3.7})")), CheckError);
+  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"shuffle_layout": 3.7})")),
+               CheckError);
   EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"([1, 2])")), CheckError);
 }
 

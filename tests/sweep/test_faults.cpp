@@ -15,10 +15,32 @@
 #include "sweep/orchestrator.hpp"
 #include "sweep/watchdog.hpp"
 
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
+#endif
+
 namespace plurality::sweep {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Sets the OpenMP thread budget for one scope (a no-op without OpenMP).
+struct ThreadBudgetGuard {
+  explicit ThreadBudgetGuard(int threads) {
+#if defined(PLURALITY_HAVE_OPENMP)
+    saved = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~ThreadBudgetGuard() {
+#if defined(PLURALITY_HAVE_OPENMP)
+    omp_set_num_threads(saved);
+#endif
+  }
+  int saved = 1;
+};
 
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / ("plurality_faults_" + name);
@@ -285,17 +307,22 @@ void run_crash_case(const std::string& point, CrashPoint crash_point) {
   fault.point = crash_point;
   options.fault_plan.faults.push_back(fault);
 
-  SweepSpec spec = small_sweep();
-  spec.base.parallel = false;
+  const SweepSpec spec = small_sweep();
+  SweepOutcome resumed;
+  {
+    // One thread: the crash and resume runs take their trials in sequence,
+    // while the golden run below keeps the default budget.
+    const ThreadBudgetGuard budget(1);
 
-  EXPECT_EXIT((void)run_sweep(spec, options), ::testing::ExitedWithCode(86), "");
+    EXPECT_EXIT((void)run_sweep(spec, options), ::testing::ExitedWithCode(86), "");
 
-  // The fired marker persisted before the _Exit, so the resume runs the
-  // cell CLEAN (no re-crash). Retries reuse the trial seed, so the final
-  // aggregate is the golden one — the parallel flag is not an aggregate
-  // column and results are schedule-invariant by construction.
-  options.resume = true;
-  const SweepOutcome resumed = run_sweep(spec, options);
+    // The fired marker persisted before the _Exit, so the resume runs the
+    // cell CLEAN (no re-crash). Retries reuse the trial seed, so the final
+    // aggregate is the golden one — the thread budget is not an aggregate
+    // column and results are schedule-invariant by construction.
+    options.resume = true;
+    resumed = run_sweep(spec, options);
+  }
   EXPECT_EQ(resumed.failed, 0u) << resumed.cells[2].error;
   // A crash AFTER the atomic rename leaves a fully valid cell file: the
   // resume trusts it (Resumed). Before/mid-write crashes leave no trusted

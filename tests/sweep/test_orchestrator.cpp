@@ -7,10 +7,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "io/checkpoint.hpp"
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
+
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
+#endif
 
 namespace plurality::sweep {
 namespace {
@@ -193,6 +198,55 @@ TEST(Orchestrator, TrialsOverrideShrinksEveryCell) {
   const SweepOutcome outcome = run_sweep(small_sweep(), options);
   for (const CellOutcome& cell : outcome.cells) {
     EXPECT_EQ(cell.metrics.trials, 2u);
+  }
+}
+
+TEST(Orchestrator, CellFilesEchoTheExecutionPlan) {
+  // Every cell file says how its trials ran. Inside the cells-in-parallel
+  // team the planner's budget is one thread; run one cell at a time and
+  // the cell gets the whole budget. Zeroed wall times leave the plan out,
+  // like the wall time itself, and the aggregate never carries it.
+  for (const bool parallel_cells : {true, false}) {
+    const fs::path dir = fresh_dir(parallel_cells ? "plan_par" : "plan_seq");
+    SweepOptions options;
+    options.out_dir = dir.string();
+    options.cells_in_parallel = parallel_cells;
+    const SweepOutcome outcome = run_sweep(small_sweep(), options);
+    ASSERT_EQ(outcome.failed, 0u);
+    for (const CellOutcome& cell : outcome.cells) {
+      const io::JsonValue doc =
+          io::read_checkpoint_file((dir / "cells" / (cell.id + ".json")).string());
+      const io::JsonValue& plan = doc.at("plan");
+      const std::string parallelism = plan.at("parallelism").as_string();
+      EXPECT_TRUE(parallelism == "trials" || parallelism == "rounds") << parallelism;
+      EXPECT_GE(plan.at("threads").as_uint(), 1u);
+      EXPECT_FALSE(plan.at("bytes_only").as_bool());
+      EXPECT_FALSE(plan.at("simd").as_string().empty());
+      ASSERT_TRUE(cell.plan.has_value());
+      EXPECT_EQ(parallelism, parallelism_name(cell.plan->parallelism));
+#if defined(PLURALITY_HAVE_OPENMP)
+      if (parallel_cells && omp_get_max_threads() > 1) {
+        // The budget that replaced the old forced-serial cell flag.
+        EXPECT_EQ(plan.at("threads").as_uint(), 1u) << cell.id;
+        EXPECT_EQ(parallelism, "trials") << cell.id;
+      }
+#endif
+    }
+    std::ifstream in(dir / "aggregate.csv");
+    std::string header;
+    std::getline(in, header);
+    EXPECT_EQ(header.find("parallelism"), std::string::npos) << header;
+  }
+
+  const fs::path zero_dir = fresh_dir("plan_zero");
+  SweepOptions zero;
+  zero.out_dir = zero_dir.string();
+  zero.zero_wall_times = true;
+  const SweepOutcome outcome = run_sweep(small_sweep(), zero);
+  for (const CellOutcome& cell : outcome.cells) {
+    const io::JsonValue doc =
+        io::read_checkpoint_file((zero_dir / "cells" / (cell.id + ".json")).string());
+    EXPECT_FALSE(doc.contains("plan")) << cell.id;
   }
 }
 
