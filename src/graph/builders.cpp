@@ -58,53 +58,58 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   PLURALITY_REQUIRE(n >= 2 && d >= 1, "random_regular: need n >= 2, d >= 1");
   PLURALITY_REQUIRE((n * d) % 2 == 0, "random_regular: n*d must be even");
   PLURALITY_REQUIRE(d < n, "random_regular: d must be below n");
+  PLURALITY_REQUIRE(n <= 4294967295ULL,
+                    "random_regular: node ids are 32-bit, so n is capped at "
+                    "4294967295 (got " << n << ")");
 
   // Steger–Wormald incremental pairing: repeatedly match two random free
   // stubs, rejecting matches that would create a self-loop or a parallel
   // edge. For d = o(sqrt n) the process gets stuck only with small
   // probability, in which case we restart from scratch.
-  for (int attempt = 0; attempt < 256; ++attempt) {
-    std::vector<count_t> stubs;
-    stubs.reserve(n * d);
-    for (count_t v = 0; v < n; ++v) {
-      for (count_t i = 0; i < d; ++i) stubs.push_back(v);
-    }
-    std::vector<std::pair<count_t, count_t>> edges;
-    edges.reserve(stubs.size() / 2);
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(stubs.size());
-    bool stuck = false;
-    while (!stubs.empty()) {
-      bool matched = false;
-      for (int tries = 0; tries < 200; ++tries) {
-        const std::size_t i = rng::uniform_below(gen, stubs.size());
-        std::size_t j = rng::uniform_below(gen, stubs.size() - 1);
-        if (j >= i) ++j;
-        const count_t u = stubs[i], v = stubs[j];
-        if (u == v) continue;
-        const std::uint64_t key = std::min(u, v) * n + std::max(u, v);
-        if (seen.count(key)) continue;
-        seen.insert(key);
-        edges.emplace_back(u, v);
-        // Swap-pop both stubs (larger index first keeps i/j valid).
-        const std::size_t hi = std::max(i, j), lo = std::min(i, j);
-        stubs[hi] = stubs.back();
-        stubs.pop_back();
-        stubs[lo] = stubs.back();
-        stubs.pop_back();
-        matched = true;
-        break;
+  //
+  // rows[u*d, u*d + fill[u]) holds u's partners in match order, which is
+  // exactly the CSR row Topology::from_edges would build from the matched
+  // edge list. A partner row has at most d entries, so scanning it is the
+  // duplicate-edge check.
+  const std::size_t arcs = n * d;
+  std::vector<std::uint32_t> rows(arcs);
+  bool built = false;
+  {  // stubs and fill are freed before the CSR copy, to keep peak memory low
+    std::vector<std::uint32_t> stubs(arcs);
+    std::vector<std::uint32_t> fill(n);
+    for (int attempt = 0; attempt < 256 && !built; ++attempt) {
+      std::uint32_t* stub = stubs.data();
+      for (count_t v = 0; v < n; ++v) {
+        stub = std::fill_n(stub, d, static_cast<std::uint32_t>(v));
       }
-      if (!matched) {
+      std::fill(fill.begin(), fill.end(), 0);
+      std::size_t live = arcs;
+      bool stuck = false;
+      while (live > 0 && !stuck) {
         stuck = true;
-        break;
+        for (int tries = 0; tries < 200; ++tries) {
+          const std::size_t i = rng::uniform_below(gen, live);
+          std::size_t j = rng::uniform_below(gen, live - 1);
+          if (j >= i) ++j;
+          const std::uint32_t u = stubs[i], v = stubs[j];
+          if (u == v) continue;
+          std::uint32_t* const row_u = rows.data() + u * d;
+          if (std::find(row_u, row_u + fill[u], v) != row_u + fill[u]) continue;
+          row_u[fill[u]++] = v;
+          rows[v * d + fill[v]++] = u;
+          // Swap-pop both stubs (larger index first keeps i/j valid).
+          stubs[std::max(i, j)] = stubs[--live];
+          stubs[std::min(i, j)] = stubs[--live];
+          stuck = false;
+          break;
+        }
       }
+      built = !stuck;
     }
-    if (!stuck) return Topology::from_edges(n, edges);
   }
-  PLURALITY_CHECK_MSG(false, "random_regular: failed to build a simple graph "
+  PLURALITY_CHECK_MSG(built, "random_regular: failed to build a simple graph "
                              "(n=" << n << ", d=" << d << "); d too close to n?");
-  return Topology::complete(n);  // unreachable
+  return Topology::from_regular_rows(n, d, rows);
 }
 
 Topology erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,

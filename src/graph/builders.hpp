@@ -1,6 +1,6 @@
 // Standard topology generators for the sparse-graph extension experiments
-// (E13): structured graphs (cycle, torus) and random graphs (d-regular via
-// the configuration model, Erdős–Rényi G(n, m)).
+// (E13): structured graphs (cycle, torus) and random graphs (simple
+// d-regular via Steger–Wormald pairing, Erdős–Rényi G(n, m)).
 #pragma once
 
 #include "graph/topology.hpp"
@@ -20,10 +20,13 @@ Topology torus(count_t rows, count_t cols);
 /// engine's bitwise contract (implicit_topology.hpp).
 Topology circulant_lattice(count_t n, count_t d);
 
-/// Random d-regular multigraph via the configuration model: d*n stubs
-/// paired uniformly (d*n must be even). Self-loops and parallel edges are
-/// re-paired with bounded retries; a handful may survive for tiny n, which
-/// only perturbs sampling weights marginally.
+/// Simple random d-regular graph via Steger–Wormald incremental pairing:
+/// d*n stubs (d*n even, d < n, n <= 2^32 - 1) are matched two at a time at
+/// random, and a match that would make a self-loop or a parallel edge is
+/// rejected. The result never has either. A pairing that gets stuck (no
+/// acceptable match in 200 draws) restarts from scratch; after 256 attempts
+/// it throws CheckError, which happens only for d close to n. The graph
+/// and the generator state it leaves are fixed by `gen`'s state.
 Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen);
 
 /// Erdős–Rényi G(n, m): m distinct edges (no self-loops) chosen uniformly.

@@ -32,6 +32,22 @@ Topology Topology::from_edges(count_t n,
   return topo;
 }
 
+Topology Topology::from_regular_rows(count_t n, count_t d,
+                                     std::span<const std::uint32_t> rows) {
+  PLURALITY_REQUIRE(n >= 1, "Topology::from_regular_rows: need at least one node");
+  PLURALITY_REQUIRE(rows.size() == n * d, "Topology::from_regular_rows: "
+                                              << rows.size() << " row entries for n=" << n
+                                              << ", d=" << d);
+  PLURALITY_REQUIRE(std::all_of(rows.begin(), rows.end(),
+                                [n](std::uint32_t u) { return u < n; }),
+                    "Topology::from_regular_rows: endpoint out of range");
+  Topology topo(Kind::Explicit, n);
+  topo.offsets_.resize(n + 1);
+  for (count_t v = 0; v <= n; ++v) topo.offsets_[v] = v * d;
+  topo.adjacency_.assign(rows.begin(), rows.end());
+  return topo;
+}
+
 count_t Topology::degree(count_t v) const {
   PLURALITY_REQUIRE(v < n_, "Topology::degree: node out of range");
   if (kind_ == Kind::CompleteImplicit) return n_;  // self included, clique model

@@ -31,6 +31,12 @@ class Topology {
   static Topology from_edges(count_t n,
                              std::span<const std::pair<count_t, count_t>> edges);
 
+  /// Explicit d-regular graph from its CSR rows: rows[v*d, v*d + d) are v's
+  /// neighbors, in order. The caller guarantees symmetry (u in row v exactly
+  /// as often as v in row u); ids must be below n.
+  static Topology from_regular_rows(count_t n, count_t d,
+                                    std::span<const std::uint32_t> rows);
+
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] count_t num_nodes() const { return n_; }
 

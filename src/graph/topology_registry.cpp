@@ -103,7 +103,7 @@ count_t regular_degree(const std::string& arg, const std::string& spec, count_t 
   PLURALITY_REQUIRE(d < n, "topology '" << spec << "': degree " << d
                                         << " needs more than " << n << " nodes");
   PLURALITY_REQUIRE((d * n) % 2 == 0,
-                    "topology '" << spec << "': the configuration model needs d*n even "
+                    "topology '" << spec << "': a d-regular graph needs d*n even "
                     << "(d = " << d << ", n = " << n << ")");
   return d;
 }

@@ -14,8 +14,8 @@
 namespace plurality::graph {
 
 /// Parses and validates `spec` against a node count WITHOUT building the
-/// graph (torus dimensions must factor n, the configuration model needs
-/// d*n even, ...). Throws CheckError with an actionable message; returns
+/// graph (torus dimensions must factor n, a d-regular graph needs d*n
+/// even, ...). Throws CheckError with an actionable message; returns
 /// normally when make_topology(spec, n, gen) would succeed on a readable
 /// edge-list file.
 void validate_topology_spec(const std::string& spec, count_t n);
@@ -33,7 +33,8 @@ void validate_topology_spec(const std::string& spec, count_t n);
 ///   "torus:<r>x<c>"      r x c torus (r*c == n; r, c >= 3)
 ///   "lattice:<d>"        circulant d-regular lattice: v ~ v +- j (mod n)
 ///                        for j = 1..d/2 (d even; lattice:2 == ring)
-///   "regular:<d>"        random d-regular (configuration model; d*n even)
+///   "regular:<d>"        simple random d-regular graph (Steger–Wormald
+///                        pairing; d < n, d*n even)
 ///   "er:<p>"             Erdős–Rényi G(n, m) with m = round(p * n(n-1)/2),
 ///                        isolated vertices patched (sampling needs degree
 ///                        >= 1 everywhere); p in (0, 1]

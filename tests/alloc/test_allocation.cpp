@@ -373,6 +373,17 @@ TEST(ZeroAllocation, MetricsObservedGraphRounds) {
   EXPECT_EQ(registry.counter("engine_node_updates_total").value(), 51u * 2000u);
 }
 
+TEST(GraphBuild, RandomRegularAllocationCountIsIndependentOfN) {
+  // The d-regular builder works in a fixed set of flat arrays, so a 10x
+  // larger graph costs the same number of allocations. A per-edge
+  // allocating container (a node-based hash set, say) would break this.
+  const auto build_allocs = [](count_t n) {
+    rng::Xoshiro256pp gen(11);
+    return allocations_during([&] { (void)graph::random_regular(n, 8, gen); });
+  };
+  EXPECT_EQ(build_allocs(2000), build_allocs(20000));
+}
+
 TEST(SanityCheck, CounterSeesVectorAllocations) {
   // Guards the hook itself: if the counter went dead, the suite above
   // would pass vacuously.
