@@ -105,8 +105,8 @@ class PerfGuardTest(unittest.TestCase):
         self.assertIn("strict_node_updates_per_sec", err)
 
     def test_push_metric_is_guarded(self):
-        # The locality-sweep voter rows carry push_node_updates_per_sec;
-        # a scatter-path regression must trip the guard like any engine.
+        # Arity-1 rows carry push_node_updates_per_sec; a scatter-path
+        # regression must trip the guard like any engine.
         base = doc([("random 8-regular/rcm", "voter", 100.0, 400.0)])
         base["topologies"][0]["push_node_updates_per_sec"] = 900.0
         meas = doc([("random 8-regular/rcm", "voter", 100.0, 400.0)])
@@ -114,6 +114,24 @@ class PerfGuardTest(unittest.TestCase):
         code, out, err = self.run_guard(base, meas)
         self.assertEqual(code, 1)
         self.assertIn("push_node_updates_per_sec", err)
+
+    def test_rename_splits_on_last_slash(self):
+        # Old bench cells were keyed "<topology>/<layout>"; --rename must
+        # keep their push floor guarding the plain topology row.
+        base = doc([("random 8-regular/identity", "voter", 100.0, 400.0)])
+        base["topologies"][0]["push_node_updates_per_sec"] = 900.0
+        meas = doc([("random 8-regular", "voter", 100.0, 400.0)])
+        meas["topologies"][0]["push_node_updates_per_sec"] = 100.0
+        rename = "random 8-regular/identity/voter=random 8-regular/voter"
+        code, out, err = self.run_guard(base, meas, "--rename", rename)
+        self.assertEqual(code, 1)
+        self.assertIn("[map ]", out)
+        self.assertIn("push_node_updates_per_sec", err)
+        meas["topologies"][0]["push_node_updates_per_sec"] = 880.0
+        code, out, _ = self.run_guard(base, meas, "--rename", rename)
+        self.assertEqual(code, 0)
+        self.assertIn("all 3 cells within tolerance", out)
+        self.assertNotIn("[skip]", out)
 
     def test_no_comparable_cells_fails(self):
         base = doc([("ring", "3-majority", 100.0, 400.0)])

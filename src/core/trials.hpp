@@ -74,12 +74,6 @@ struct CommonTrialOptions {
   /// matters on sparse graphs). The count backend is exchangeable, so
   /// there is nothing to shuffle.
   bool shuffle_layout = true;
-  /// Graph backend only: cache-behavior knobs forwarded as StepTuning
-  /// (graph/graph_workspace.hpp). Performance-only — results never depend
-  /// on them. 0 = derive the batched tile from the word budget; 16 = the
-  /// measured strict/batched prefetch sweet spot (0 disables prefetch).
-  std::uint32_t tile_nodes = 0;
-  std::uint32_t prefetch_distance = 16;
   /// Count path only: count-based exact-law stepping vs the literal
   /// agent-level clique simulation.
   Backend backend = Backend::CountBased;

@@ -84,56 +84,6 @@ AgentGraph AgentGraph::from_topology(const Topology& topology) {
   return g;
 }
 
-AgentGraph AgentGraph::from_topology(const Topology& topology,
-                                     std::span<const std::uint32_t> new_of) {
-  PLURALITY_REQUIRE(topology.kind() == Topology::Kind::Explicit,
-                    "AgentGraph: only explicit topologies can be relabeled "
-                    "(the implicit complete graph has no layout)");
-  const count_t n = topology.num_nodes();
-  PLURALITY_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
-                    "AgentGraph: node ids must fit 32 bits (n=" << n << ")");
-  PLURALITY_REQUIRE(new_of.size() == n, "AgentGraph: relabel permutation has "
-                                            << new_of.size() << " entries for " << n
-                                            << " nodes");
-  // Invert while checking that new_of really is a permutation of [0, n).
-  constexpr std::uint32_t kUnset = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> orig_of(n, kUnset);
-  for (count_t v = 0; v < n; ++v) {
-    const std::uint32_t nv = new_of[v];
-    PLURALITY_REQUIRE(nv < n && orig_of[nv] == kUnset,
-                      "AgentGraph: relabel map is not a permutation at node " << v);
-    orig_of[nv] = static_cast<std::uint32_t>(v);
-  }
-
-  AgentGraph g;
-  g.n_ = n;
-  g.complete_ = false;
-  g.arcs_ = topology.num_arcs();
-  const std::size_t words =
-      static_cast<std::size_t>(n) + 1 + (static_cast<std::size_t>(g.arcs_) + 1) / 2;
-  g.arena_.assign(words, 0);
-  std::uint64_t* offsets = g.arena_.data();
-  auto* neighbors = reinterpret_cast<std::uint32_t*>(g.arena_.data() + n + 1);
-  offsets[0] = 0;
-  g.min_degree_ = n > 0 ? topology.degree(orig_of[0]) : 0;
-  g.max_degree_ = g.min_degree_;
-  std::size_t cursor = 0;
-  // Row of new id i = the original node's row mapped through new_of, in the
-  // ORIGINAL row order — so sample index j lands on the same (relabeled)
-  // neighbor it would have pre-relabel, which the equivariance proof needs.
-  for (count_t i = 0; i < n; ++i) {
-    const auto neigh = topology.neighbors(orig_of[i]);
-    for (const count_t u : neigh) neighbors[cursor++] = new_of[u];
-    offsets[i + 1] = cursor;
-    const auto deg = static_cast<count_t>(neigh.size());
-    g.min_degree_ = std::min(g.min_degree_, deg);
-    g.max_degree_ = std::max(g.max_degree_, deg);
-  }
-  PLURALITY_CHECK(cursor == g.arcs_);
-  g.orig_of_ = std::move(orig_of);
-  return g;
-}
-
 AgentGraph AgentGraph::from_edges(count_t n,
                                   std::span<const std::pair<count_t, count_t>> edges) {
   return from_topology(Topology::from_edges(n, edges));
@@ -158,15 +108,7 @@ std::span<const std::uint32_t> AgentGraph::neighbors_of(count_t v) const {
 
 void load_nodes(const Configuration& start, bool shuffle_layout,
                 const rng::StreamFactory& streams, GraphStepWorkspace& ws,
-                const AgentGraph* graph) {
-  // On a relabeled graph the block assignment + shuffle run in ORIGINAL id
-  // space (staged in the double buffer — no extra memory) and the result is
-  // permuted into the new numbering. The stream consumption is identical
-  // either way, so the relabeled trial starts from exactly the permuted
-  // image of the identity-labeled trial's initial state.
-  const bool relabeled = graph != nullptr && graph->is_relabeled();
-  const std::uint32_t* orig =
-      relabeled ? graph->orig_of().data() : nullptr;
+                const AgentGraph* /*unused*/) {
   if (ws.bytes_only) {
     // The byte array IS the state. rng::shuffle's swap sequence depends
     // only on the element count, so shuffling bytes here yields the same
@@ -176,19 +118,15 @@ void load_nodes(const Configuration& start, bool shuffle_layout,
     const std::size_t n = start.n();
     ws.nodes8.resize(n + 4);
     ws.scratch8.resize(n + 4);
-    std::uint8_t* staged = relabeled ? ws.scratch8.data() : ws.nodes8.data();
     std::size_t pos = 0;
     for (state_t j = 0; j < start.k(); ++j) {
       const count_t c = start.at(j);
-      std::fill_n(staged + pos, c, static_cast<std::uint8_t>(j));
+      std::fill_n(ws.nodes8.data() + pos, c, static_cast<std::uint8_t>(j));
       pos += c;
     }
     if (shuffle_layout) {
       rng::Xoshiro256pp gen = streams.stream(kLayoutStream);
-      rng::shuffle(gen, staged, n);
-    }
-    if (relabeled) {
-      for (std::size_t i = 0; i < n; ++i) ws.nodes8[i] = staged[orig[i]];
+      rng::shuffle(gen, ws.nodes8.data(), n);
     }
     std::fill_n(ws.nodes8.begin() + static_cast<std::ptrdiff_t>(n), 4,
                 std::uint8_t{0});  // SIMD tail slack
@@ -197,21 +135,15 @@ void load_nodes(const Configuration& start, bool shuffle_layout,
   }
   ws.nodes.resize(start.n());
   ws.scratch.resize(start.n());
-  state_t* staged = relabeled ? ws.scratch.data() : ws.nodes.data();
   std::size_t pos = 0;
   for (state_t j = 0; j < start.k(); ++j) {
     const count_t c = start.at(j);
-    std::fill_n(staged + pos, c, j);
+    std::fill_n(ws.nodes.data() + pos, c, j);
     pos += c;
   }
   if (shuffle_layout) {
     rng::Xoshiro256pp gen = streams.stream(kLayoutStream);
-    rng::shuffle(gen, staged, ws.nodes.size());
-  }
-  if (relabeled) {
-    for (std::size_t i = 0; i < ws.nodes.size(); ++i) {
-      ws.nodes[i] = staged[orig[i]];
-    }
+    rng::shuffle(gen, ws.nodes.data(), ws.nodes.size());
   }
   ws.mirror_fresh = false;  // nodes rewritten; the byte mirror is stale
 }
@@ -240,38 +172,6 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* mirror_out,
       !complete && !implicit && graph.min_degree() == graph.max_degree();
   const std::uint64_t uniform_degree = regular ? graph.min_degree() : 0;
   const unsigned prefetch = tuning.prefetch_distance;
-
-  if (graph.is_relabeled()) {
-    // Relabeled graphs step with one hash-derived stream PER NODE, indexed
-    // by the node's ORIGINAL id: the draw sequence a node consumes is then
-    // independent of where the layout placed it, so a relabeled run is the
-    // identity-relabeled run mapped through the permutation (states,
-    // counts, summaries — the strict half of the equivariance contract).
-    // The per-(round, chunk) shared-stream shape of the default path cannot
-    // deliver that (a node's draws would depend on its chunk position), so
-    // this is a deliberately different stream derivation — which is why
-    // from_topology's relabeling overload always marks the graph, identity
-    // permutation included. Relabeled graphs are arena-backed by
-    // construction, so only the regular/CSR row shapes occur here.
-    const rng::StreamFactory node_streams =
-        streams.child(kRelabelStreamTag).child(round);
-    const std::uint32_t* orig = graph.orig_of().data();
-#if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-    for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
-      const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
-      const std::size_t hi = std::min(n, lo + chunk_size);
-      count_t* local = partials + static_cast<std::size_t>(chunk) * k;
-      std::fill(local, local + k, count_t{0});
-      for (std::size_t i = lo; i < hi; ++i) {
-        rng::Xoshiro256pp gen = node_streams.stream(orig[i]);
-        kernels::step_one_csr(rule, nodes, out, mirror_out, local, i, offsets,
-                              neighbors, k, gen);
-      }
-    }
-    return;
-  }
 
 #if defined(PLURALITY_HAVE_OPENMP)
 #pragma omp parallel for schedule(static)
@@ -449,7 +349,7 @@ void GraphSimulation::init(const Configuration& start, bool shuffle_layout) {
   PLURALITY_REQUIRE(graph_->is_complete() || graph_->min_degree() >= 1,
                     "GraphSimulation: isolated vertices cannot sample");
   ws_.prepare(start.n(), start.k());
-  load_nodes(start, shuffle_layout, streams_, ws_, graph_);
+  load_nodes(start, shuffle_layout, streams_, ws_);
 }
 
 void GraphSimulation::step() {

@@ -66,18 +66,6 @@ class AgentGraph {
   /// Packs an explicit (or implicit-complete) Topology.
   static AgentGraph from_topology(const Topology& topology);
 
-  /// Packs an explicit Topology RELABELED by `new_of` (new_of[orig] = new
-  /// id, a permutation of [0, n)): the CSR row of new id i holds
-  /// new_of[u] for each u in topology.neighbors(orig_of(i)), in the
-  /// original row order. The inverse map is retained (orig_of()) so the
-  /// engines can address per-node randomness by ORIGINAL id — the basis of
-  /// the layout permutation-equivariance contract (src/graph/layout.hpp).
-  /// Always marks the graph relabeled, even for the identity permutation
-  /// (the engines' relabeled RNG addressing differs from the default
-  /// path's, so "relabeled with identity" is the equivariance baseline).
-  static AgentGraph from_topology(const Topology& topology,
-                                  std::span<const std::uint32_t> new_of);
-
   /// Builds from an undirected edge list (both directions stored), via
   /// Topology::from_edges' CSR construction.
   static AgentGraph from_edges(count_t n,
@@ -122,15 +110,6 @@ class AgentGraph {
   /// Bytes held by the arena (memory-model accounting for the docs/bench).
   [[nodiscard]] std::size_t arena_bytes() const { return arena_.size() * sizeof(std::uint64_t); }
 
-  /// True when the graph was packed through the relabeling overload of
-  /// from_topology. Relabeled graphs are always arena-backed (never
-  /// complete/implicit) by construction.
-  [[nodiscard]] bool is_relabeled() const { return !orig_of_.empty(); }
-
-  /// The inverse permutation of a relabeled graph: orig_of()[new id] =
-  /// original Topology id. Empty for non-relabeled graphs.
-  [[nodiscard]] std::span<const std::uint32_t> orig_of() const { return orig_of_; }
-
  private:
   count_t n_ = 0;
   bool complete_ = false;
@@ -139,30 +118,18 @@ class AgentGraph {
   count_t max_degree_ = 0;
   ImplicitTopology implicit_{};
   std::vector<std::uint64_t> arena_;
-  std::vector<std::uint32_t> orig_of_;  // empty unless relabeled
 };
 
 /// Reserved StreamFactory index for the layout shuffle (kept distinct from
 /// every (round, chunk) stepping stream).
 inline constexpr std::uint64_t kLayoutStream = ~0ULL;
 
-/// Domain-separation tag ("relab") of the strict engine's per-node streams
-/// on relabeled graphs: node with original id o steps round r with
-/// streams.child(kRelabelStreamTag).child(r).stream(o). Addressing the
-/// stream by ORIGINAL id is what makes strict runs permutation-equivariant
-/// in the layout (states/counts of a relabeled run are the identity-
-/// relabeled run's mapped through the permutation — see layout.hpp).
-inline constexpr std::uint64_t kRelabelStreamTag = 0x72656c6162ULL;
-
 /// (Re)initializes ws.nodes from a configuration: state j laid out at(j)
 /// times in node-id order, then shuffled with streams.stream(kLayoutStream)
 /// when `shuffle_layout` (node position matters on sparse graphs, unlike
-/// the clique). Allocation-free once ws has seen this n.
-///
-/// When `graph` is relabeled, the block assignment + shuffle are staged in
-/// ORIGINAL id space (consuming the stream identically) and then permuted
-/// into the new numbering: the relabeled trial starts from exactly the
-/// permuted image of the identity-labeled trial's initial state.
+/// the clique). Allocation-free once ws has seen this n. The trailing
+/// graph argument is unused and deprecated (the steppers already check that
+/// the graph's node count matches); it stays only for existing callers.
 void load_nodes(const Configuration& start, bool shuffle_layout,
                 const rng::StreamFactory& streams, GraphStepWorkspace& ws,
                 const AgentGraph* graph = nullptr);

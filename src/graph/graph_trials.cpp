@@ -101,7 +101,6 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
 
   const rng::StreamFactory streams(options.seed);
   TrialOutcomes outcomes(options.trials, options.exact_round_samples);
-  const StepTuning tuning{options.tile_nodes, options.prefetch_distance};
 
   const auto body = [&](std::uint64_t trial, GraphStepWorkspace& ws) {
     // Trial stream family: `gen` feeds the start factory and the adversary;
@@ -121,7 +120,7 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
     ws.bytes_only = graph_bytes_only_auto(config.n(), config.k(),
                                           options.adversary != nullptr);
     ws.prepare(config.n(), config.k());
-    load_nodes(config, options.shuffle_layout, trial_streams, ws, &graph);
+    load_nodes(config, options.shuffle_layout, trial_streams, ws);
 
     RoundObserver* const observer = options.observer;
     if (observer != nullptr) observer->begin_trial(trial, config, num_colors);
@@ -141,8 +140,7 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
           rounds = r - 1;
           break;
         }
-        step_graph(dynamics, graph, config, trial_streams, r - 1, ws, options.mode,
-                   tuning);
+        step_graph(dynamics, graph, config, trial_streams, r - 1, ws, options.mode);
         if (options.adversary != nullptr) {
           corrupt_nodes(*options.adversary, config, num_colors, r, gen, ws);
         }

@@ -40,12 +40,12 @@ inline constexpr unsigned kGraphChunks = 64;
 /// two).
 using plurality::EngineMode;
 
-/// Cache-behavior knobs of the stepping pipelines, threaded from the
-/// scenario spec (`tile_nodes`, `prefetch_distance`) and the bench CLI
-/// down to the kernels. Pure performance tuning: every setting produces
-/// bitwise-identical results per engine mode (tile addressing is
-/// counter-based; the strict window replays the exact draw order), pinned
-/// by test_layout's tuning-invariance battery.
+/// Cache-behavior knobs of the stepping pipelines, threaded from the bench
+/// CLI (bench_graphs --tile-nodes/--prefetch-distance) down to the
+/// kernels; everything else runs the defaults. Pure performance tuning:
+/// every setting produces bitwise-identical results per engine mode (tile
+/// addressing is counter-based; the strict window replays the exact draw
+/// order), pinned by test_push's tuning-invariance battery.
 struct StepTuning {
   /// Batched-pipeline tile size in nodes (0 = derive from
   /// kernels_batched::kBatchedWordBudget; clamped to the word budget).

@@ -303,26 +303,6 @@ inline void publish(state_t* out, TNode* mirror_out, count_t* local, std::size_t
   ++local[next];
 }
 
-/// One node of an implicit-complete chunk.
-template <class Rule, typename TNode>
-inline void step_one_complete(const Rule& rule, const TNode* nodes, state_t* out,
-                              TNode* mirror_out, count_t* local, std::size_t i,
-                              std::uint64_t n, state_t states, rng::Xoshiro256pp& gen) {
-  const CompleteSampler<TNode> sample{nodes, n};
-  publish(out, mirror_out, local, i, rule(nodes[i], states, sample, gen));
-}
-
-/// One node of an explicit-CSR chunk.
-template <class Rule, typename TNode>
-inline void step_one_csr(const Rule& rule, const TNode* nodes, state_t* out,
-                         TNode* mirror_out, count_t* local, std::size_t i,
-                         const std::uint64_t* offsets, const std::uint32_t* neighbors,
-                         state_t states, rng::Xoshiro256pp& gen) {
-  const std::uint64_t off = offsets[i];
-  const CsrSampler<TNode> sample{nodes, neighbors + off, offsets[i + 1] - off};
-  publish(out, mirror_out, local, i, rule(nodes[i], states, sample, gen));
-}
-
 /// Detects the windowable-rule contract (kArity + combine, no post-gather
 /// randomness) at compile time.
 template <class Rule>
@@ -344,7 +324,7 @@ inline constexpr unsigned kMaxPrefetchWindow = 64;
 /// the same bounds — and combine IS the rule's post-gather arithmetic, so
 /// results are bitwise-identical to the unwindowed loop for every
 /// windowable rule (pinned by the golden-trajectory suite, which runs at
-/// the default prefetch distance, and by test_layout's prefetch=0 cross).
+/// the default prefetch distance, and by test_push's prefetch=0 cross).
 /// `sampler_for(i)` yields the node's sampler (any of the three above).
 template <class Rule, typename TNode, class SamplerFor>
 inline void run_chunk_nodes(const Rule& rule, const TNode* __restrict nodes,

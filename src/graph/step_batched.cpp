@@ -26,7 +26,6 @@ namespace kb = kernels_batched;
 namespace {
 
 std::atomic<bool> g_simd_enabled{true};
-std::atomic<std::size_t> g_tile_override{0};
 
 const simd::Ops* active_ops() {
   if (!g_simd_enabled.load(std::memory_order_relaxed)) return nullptr;
@@ -75,8 +74,7 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
                    const Sampler& sampler, const TNode* nodes, state_t* out,
                    TNode* mirror_out, state_t states, std::size_t lo, std::size_t hi,
                    const simd::Ops* ops, const simd::FusedArgs* fused_proto,
-                   count_t* local, state_t k, const StepTuning& tuning,
-                   const std::uint32_t* orig) {
+                   count_t* local, state_t k, const StepTuning& tuning) {
   if constexpr (std::is_same_v<TNode, std::uint8_t>) {
     if (fused_proto != nullptr) {
       const auto fused = fused_kernel<Rule, Sampler, TNode>(ops);
@@ -97,11 +95,10 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
   }
 
   const std::size_t wpn = arity + tie_words;
-  // Tile-size precedence: spec/CLI tuning, then the test override, then the
-  // word-budget derivation. Any value yields the same results (the word
+  // Tile size: StepTuning when set (bench_graphs --tile-nodes, tests), else
+  // the word-budget derivation. Any value yields the same results (the word
   // addressing is per-node, not per-tile).
   std::size_t tile = tuning.tile_nodes;
-  if (tile == 0) tile = g_tile_override.load(std::memory_order_relaxed);
   if (tile == 0) tile = kb::tile_nodes_for(static_cast<unsigned>(wpn));
   tile = std::min(tile, kb::kBatchedWordBudget / wpn);
   PLURALITY_CHECK(tile >= 1);
@@ -122,19 +119,8 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
       std::uint64_t* plane_words = words + static_cast<std::size_t>(s) * tile;
       std::uint32_t* plane_index = index + static_cast<std::size_t>(s) * tile;
       TNode* plane_states = st + static_cast<std::size_t>(s) * tile;
-      // Pass 1: block-generate the plane's Philox words. On a relabeled
-      // graph each node's word is addressed by its ORIGINAL id (a scattered
-      // per-word fill instead of the contiguous block fill): node new-id i
-      // then consumes exactly the words its pre-relabel twin would, which
-      // is what makes batched results layout-invariant.
-      if (orig == nullptr) {
-        fill(key, round, static_cast<std::uint64_t>(s) * n_pad + base, nb, plane_words);
-      } else {
-        for (std::size_t i = 0; i < nb; ++i) {
-          plane_words[i] = rng::Philox4x32::word<kb::kSamplerRounds>(
-              key, round, static_cast<std::uint64_t>(s) * n_pad + orig[base + i]);
-        }
-      }
+      // Pass 1: block-generate the plane's Philox words.
+      fill(key, round, static_cast<std::uint64_t>(s) * n_pad + base, nb, plane_words);
       // Pass 2: branch-free bounded-bias index conversion.
       for (std::size_t i = 0; i < nb; ++i) {
         plane_index[i] = kb::scale_word(plane_words[i], sampler.bound(base + i));
@@ -151,17 +137,8 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
     }
     std::uint64_t* tie_base = words + static_cast<std::size_t>(arity) * tile;
     for (unsigned t = 0; t < tie_words; ++t) {
-      if (orig == nullptr) {
-        fill(key, round, (static_cast<std::uint64_t>(arity) + t) * n_pad + base, nb,
-             tie_base + static_cast<std::size_t>(t) * tile);
-      } else {
-        std::uint64_t* tw = tie_base + static_cast<std::size_t>(t) * tile;
-        for (std::size_t i = 0; i < nb; ++i) {
-          tw[i] = rng::Philox4x32::word<kb::kSamplerRounds>(
-              key, round,
-              (static_cast<std::uint64_t>(arity) + t) * n_pad + orig[base + i]);
-        }
-      }
+      fill(key, round, (static_cast<std::uint64_t>(arity) + t) * n_pad + base, nb,
+           tie_base + static_cast<std::size_t>(t) * tile);
     }
     // Pass 4: apply the rule; publish into scratch (+ mirror).
     kb::apply_tile(rule, arity, nodes, out, mirror_out, states, base, nb, st, tile,
@@ -190,8 +167,6 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
   const std::size_t n = graph.num_nodes();
   const state_t k = config.k();
   const std::uint64_t n_pad = kb::pad64(n);
-  const std::uint32_t* orig =
-      graph.is_relabeled() ? graph.orig_of().data() : nullptr;
   const rng::Philox4x32::Key key =
       rng::Philox4x32::key_from_seed(streams.master_seed(), kb::kBatchedKeyTag);
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
@@ -216,12 +191,8 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
       // largest byte offset (n on the clique, n*degree on regular CSR) must
       // fit a signed 32-bit gather index; beyond that the tile pipeline
       // (64-bit scalar addressing) takes over.
-      // Relabeled graphs are excluded: the fused kernels block-fill words by
-      // NEW id, but the relabel contract addresses them by original id (the
-      // scalar pipeline's scattered fill above).
       const std::uint64_t max_offset = complete ? n : n * uniform_degree;
-      if (ops != nullptr && (complete || regular) && orig == nullptr &&
-          max_offset < (1ULL << 31)) {
+      if (ops != nullptr && (complete || regular) && max_offset < (1ULL << 31)) {
         proto.key = key;
         proto.round = round;
         proto.n_pad = n_pad;
@@ -247,26 +218,22 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
       if (complete) {
         const kb::BatchedCompleteSampler<TNode> sampler{nodes_ptr, n};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning,
-                      orig);
+                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
       } else if (implicit) {
         const kb::BatchedImplicitSampler<TNode> sampler{nodes_ptr,
                                                         graph.implicit_topology()};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning,
-                      orig);
+                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
       } else if (regular) {
         const kb::BatchedRegularSampler<TNode> sampler{nodes_ptr, graph.neighbors(),
                                                        uniform_degree};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning,
-                      orig);
+                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
       } else {
         const kb::BatchedCsrSampler<TNode> sampler{nodes_ptr, graph.offsets(),
                                                    graph.neighbors()};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning,
-                      orig);
+                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
       }
     }
   };
@@ -389,10 +356,6 @@ bool batched_simd_active() {
 const char* batched_simd_isa() {
   const simd::Ops* ops = active_ops();
   return ops != nullptr ? ops->name : "scalar";
-}
-
-void set_batched_tile_nodes_override(std::size_t tile_nodes) {
-  g_tile_override.store(tile_nodes, std::memory_order_relaxed);
 }
 
 }  // namespace plurality::graph

@@ -29,10 +29,7 @@ class AgentGraph;
 /// but randomness is Philox keyed by streams.master_seed() with `round` as
 /// the counter domain — bitwise identical results for any thread count,
 /// chunking, or tile size (so `tuning` never changes results, only speed).
-/// On a relabeled graph (graph.is_relabeled()) every node's words are
-/// addressed by its ORIGINAL id, which makes batched results permutation-
-/// equivariant in the layout: counts and trial summaries are bitwise
-/// invariant under graph_layout. Requires batched_has_kernel(dynamics).
+/// Requires batched_has_kernel(dynamics).
 void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
                         Configuration& config, const rng::StreamFactory& streams,
                         round_t round, GraphStepWorkspace& ws,
@@ -50,9 +47,5 @@ void set_batched_simd_enabled(bool enabled);
 /// The ISA of that fast path ("avx512" / "avx2"), or "scalar" — what the
 /// execution plan echoes.
 [[nodiscard]] const char* batched_simd_isa();
-
-/// Overrides the pipeline tile size (0 = derive from kBatchedWordBudget).
-/// Exists to pin tile-size invariance by test.
-void set_batched_tile_nodes_override(std::size_t tile_nodes);
 
 }  // namespace plurality::graph

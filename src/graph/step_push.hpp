@@ -25,11 +25,11 @@
 // open item names.
 //
 // BITWISE CONTRACT: phase A consumes word-for-word the batched pipeline's
-// randomness (same key, same round domain, same w(0, i) = i addressing —
-// orig id on relabeled graphs — same scale_word), and phase C applies the
+// randomness (same key, same round domain, same w(0, i) = i addressing,
+// same scale_word), and phase C applies the
 // same rule arithmetic. A push round therefore produces BIT-IDENTICAL
 // states, counts, and summaries to the batched round — pinned by
-// tests/graph/test_layout.cpp's push-vs-batched battery (the
+// tests/graph/test_push.cpp's push-vs-batched battery (the
 // golden-trajectory machinery's cross-engine analogue). Thread-count
 // invariance holds by the fixed chunk/bucket grids and deterministic
 // placement cursors (TSan-covered in CI).

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/agent_graph.hpp"
-#include "graph/layout.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace plurality::graph {
@@ -40,22 +39,13 @@ void validate_topology_spec(const std::string& spec, count_t n);
 ///                        >= 1 everywhere); p in (0, 1]
 ///   "edges:<path>"       undirected edge list: one "u v" pair per line
 ///                        (0-based ids < n; '#' comment lines allowed)
-/// Random families (regular, er) consume `gen`; the same generator state
-/// reproduces the same graph. Arena-backed builds cap n at 2^32 - 1 (ids
-/// are packed u32); clique/gossip cap n at 2^32 - 1 (batched sample
-/// bound). Throws CheckError on malformed specs.
-///
-/// `layout` relabels the node ids before CSR packing (graph/layout.hpp):
-/// Degree/Rcm apply to any explicit topology; Hilbert needs a 2-D grid —
-/// torus[:<r>x<c>] gets the true Hilbert/Morton traversal, lattice:<d>
-/// (already bandwidth-optimal in natural order) stores the identity
-/// permutation so the relabeled-engine semantics still apply; everything
-/// else rejects it. clique/gossip sample uniformly (layout is meaningless)
-/// and accept Identity only. The relabeling changes ONLY memory order:
-/// results map through the permutation (permutation equivariance — pinned
-/// by tests/graph/test_layout.cpp).
-AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& gen,
-                         GraphLayout layout = GraphLayout::Identity);
+/// Random families (regular, er, gnm) consume `gen`; the same generator
+/// state reproduces the same graph. Node ids are the builder's own: the
+/// CSR row of node v is the builder's neighbor list of v, in its order.
+/// Arena-backed builds cap n at 2^32 - 1 (ids are packed u32); clique/
+/// gossip cap n at 2^32 - 1 (batched sample bound). Throws CheckError on
+/// malformed specs.
+AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& gen);
 
 /// Builds the arena-free implicit form of `spec` (neighbors computed from
 /// the node id — see implicit_topology.hpp): clique, gossip, ring,

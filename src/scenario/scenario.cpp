@@ -5,7 +5,6 @@
 #include "core/undecided.hpp"
 #include "core/workloads.hpp"
 #include "graph/graph_trials.hpp"
-#include "graph/layout.hpp"
 #include "graph/step_batched.hpp"
 #include "graph/topology_registry.hpp"
 #include "rng/stream.hpp"
@@ -48,19 +47,12 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
     // without touching trial streams.
     const std::string topo_backend = spec.resolved_topology_backend();
     compiled.spec_.topology_backend = topo_backend;
-    // graph_layout "auto" resolves here too, and the resolved name is
-    // echoed alongside topology_backend so results record what actually
-    // ran. The layout only relabels ids (equivariance), so the SAME seed
-    // still names the same random graph.
-    const std::string layout_name = spec.resolved_graph_layout();
-    compiled.spec_.graph_layout = layout_name;
     if (topo_backend == "implicit") {
       compiled.graph_ = graph::make_topology_implicit(spec.topology, spec.n);
     } else {
       rng::Xoshiro256pp topo_gen =
           rng::StreamFactory(spec.seed).child(kTopologyStreamTag).stream(0);
-      compiled.graph_ = graph::make_topology(spec.topology, spec.n, topo_gen,
-                                             graph::parse_graph_layout(layout_name));
+      compiled.graph_ = graph::make_topology(spec.topology, spec.n, topo_gen);
     }
   }
 
@@ -73,8 +65,6 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
                                            : EngineMode::Strict;
   options.adversary = compiled.adversary_.get();
   options.shuffle_layout = spec.shuffle_layout;
-  options.tile_nodes = spec.tile_nodes;
-  options.prefetch_distance = spec.prefetch_distance;
   options.backend = backend == "agent" ? Backend::Agent : Backend::CountBased;
 
   const StopCondition stop = parse_stop_condition(spec.stop);

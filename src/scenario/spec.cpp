@@ -10,7 +10,6 @@
 #include "core/registry.hpp"
 #include "core/workloads.hpp"
 #include "graph/implicit_topology.hpp"
-#include "graph/layout.hpp"
 #include "graph/step_push.hpp"
 #include "graph/topology_registry.hpp"
 #include "support/check.hpp"
@@ -68,18 +67,6 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
     spec.stop = value.as_string();
   } else if (key == "topology_backend") {
     spec.topology_backend = value.as_string();
-  } else if (key == "graph_layout") {
-    spec.graph_layout = value.as_string();
-  } else if (key == "tile_nodes") {
-    const std::uint64_t tile = value.as_uint();
-    PLURALITY_REQUIRE(tile <= 0xFFFFFFFFULL,
-                      "scenario: tile_nodes = " << tile << " exceeds 32 bits");
-    spec.tile_nodes = static_cast<std::uint32_t>(tile);
-  } else if (key == "prefetch_distance") {
-    const std::uint64_t distance = value.as_uint();
-    PLURALITY_REQUIRE(distance <= 0xFFFFFFFFULL,
-                      "scenario: prefetch_distance = " << distance << " exceeds 32 bits");
-    spec.prefetch_distance = static_cast<std::uint32_t>(distance);
   } else if (key == "n") {
     spec.n = value.as_uint();
   } else if (key == "k") {
@@ -96,15 +83,24 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
     PLURALITY_REQUIRE(false, "scenario: 'parallel' is no longer a spec field; the execution "
                              "planner now decides how trials use the threads, and results "
                              "are identical either way — drop the field");
+  } else if (key == "graph_layout") {
+    PLURALITY_REQUIRE(false, "scenario: 'graph_layout' is no longer a spec field; node "
+                             "relabeling was removed (it measured slower on every "
+                             "topology), so graphs step in the order their builder "
+                             "numbered them — drop the field");
+  } else if (key == "tile_nodes" || key == "prefetch_distance") {
+    PLURALITY_REQUIRE(false, "scenario: '" << key << "' is no longer a spec field; no "
+                             "measured setting beat the default, which every scenario "
+                             "now runs (bench_graphs still takes it as a flag) — drop "
+                             "the field");
   } else if (key == "shuffle_layout") {
     spec.shuffle_layout = value.as_bool();
   } else {
     PLURALITY_REQUIRE(false,
                       "scenario: unknown field '"
                           << key << "'; known: dynamics, workload, topology, adversary, "
-                          << "backend, engine, stop, topology_backend, graph_layout, "
-                          << "n, k, trials, seed, max_rounds, shuffle_layout, "
-                          << "tile_nodes, prefetch_distance");
+                          << "backend, engine, stop, topology_backend, "
+                          << "n, k, trials, seed, max_rounds, shuffle_layout");
   }
 }
 
@@ -124,14 +120,6 @@ std::string resolve_backend_impl(const ScenarioSpec& spec, const Dynamics& dyn) 
   return spec.engine == "batched" ? "graph" : "agent";
 }
 
-/// The layout `spec.graph_layout == "auto"` denotes under this spec's
-/// topology (shared by validate(), resolved_graph_layout(), and
-/// Scenario::compile()). Throws on unknown layout names.
-graph::GraphLayout resolve_graph_layout_impl(const ScenarioSpec& spec) {
-  if (spec.graph_layout == "auto") return graph::resolve_auto_layout(spec.topology);
-  return graph::parse_graph_layout(spec.graph_layout);
-}
-
 /// The topology backend "auto" denotes (shared by validate() and
 /// Scenario::compile() so both always agree on what gets built).
 std::string resolve_topology_backend_impl(const ScenarioSpec& spec) {
@@ -140,8 +128,6 @@ std::string resolve_topology_backend_impl(const ScenarioSpec& spec) {
   const std::string kind = split_spec(spec.topology).kind;
   // Clique/gossip store nothing either way; report them as implicit.
   if (kind == "clique" || kind == "gossip") return "implicit";
-  // A non-identity layout relabels node ids, which only the arena stores.
-  if (resolve_graph_layout_impl(spec) != graph::GraphLayout::Identity) return "arena";
   return spec.n >= graph::kImplicitAutoThreshold ? "implicit" : "arena";
 }
 
@@ -168,7 +154,7 @@ void ScenarioSpec::set_field(const std::string& key, const std::string& value) {
   // Route strings through the JSON assignment path. Numeric and boolean
   // fields get their own parse so "n=1e6" works in the string form.
   if (key == "n" || key == "k" || key == "trials" || key == "seed" ||
-      key == "max_rounds" || key == "tile_nodes" || key == "prefetch_distance") {
+      key == "max_rounds") {
     assign_field(*this, key, io::JsonValue(parse_spec_uint(key, value)));
   } else if (key == "shuffle_layout") {
     assign_field(*this, key, io::JsonValue(parse_spec_bool(key, value)));
@@ -221,15 +207,12 @@ io::JsonValue ScenarioSpec::to_json() const {
   doc.set("engine", engine);
   doc.set("stop", stop);
   doc.set("topology_backend", topology_backend);
-  doc.set("graph_layout", graph_layout);
   doc.set("n", std::uint64_t{n});
   doc.set("k", std::uint64_t{k});
   doc.set("trials", trials);
   doc.set("seed", seed);
   doc.set("max_rounds", std::uint64_t{max_rounds});
   doc.set("shuffle_layout", shuffle_layout);
-  doc.set("tile_nodes", std::uint64_t{tile_nodes});
-  doc.set("prefetch_distance", std::uint64_t{prefetch_distance});
   return doc;
 }
 
@@ -238,11 +221,9 @@ std::string ScenarioSpec::to_spec_string() const {
   os << "dynamics=" << dynamics << " workload=" << workload << " topology=" << topology
      << " adversary=" << adversary << " backend=" << backend << " engine=" << engine
      << " stop=" << stop << " topology_backend=" << topology_backend
-     << " graph_layout=" << graph_layout << " n=" << n
-     << " k=" << k << " trials=" << trials
+     << " n=" << n << " k=" << k << " trials=" << trials
      << " seed=" << seed << " max_rounds=" << max_rounds
-     << " shuffle_layout=" << (shuffle_layout ? "true" : "false")
-     << " tile_nodes=" << tile_nodes << " prefetch_distance=" << prefetch_distance;
+     << " shuffle_layout=" << (shuffle_layout ? "true" : "false");
   return os.str();
 }
 
@@ -254,11 +235,6 @@ std::string ScenarioSpec::resolved_backend() const {
 std::string ScenarioSpec::resolved_topology_backend() const {
   validate();
   return resolve_topology_backend_impl(*this);
-}
-
-std::string ScenarioSpec::resolved_graph_layout() const {
-  validate();
-  return graph::graph_layout_name(resolve_graph_layout_impl(*this));
 }
 
 void ScenarioSpec::validate() const {
@@ -299,46 +275,6 @@ void ScenarioSpec::validate() const {
                       "implicit-capable: clique, gossip, ring, torus[:<r>x<c>], "
                       "lattice:<d>; use topology_backend 'arena' (or 'auto')");
   }
-  // The layout axis: resolve first (throws on unknown names), then check
-  // the combinations that cannot build or would contradict each other.
-  const graph::GraphLayout layout = resolve_graph_layout_impl(*this);
-  if (layout != graph::GraphLayout::Identity) {
-    const std::string topo_kind = split_spec(topology).kind;
-    PLURALITY_REQUIRE(topo_kind != "clique" && topo_kind != "gossip",
-                      "scenario: graph_layout '" << graph_layout << "' cannot change "
-                      "locality on topology '" << topology << "' — uniform sampling "
-                      "touches every node regardless of order; use graph_layout "
-                      "'identity' (or 'auto')");
-    PLURALITY_REQUIRE(topology_backend != "implicit",
-                      "scenario: graph_layout '" << graph_layout << "' relabels node "
-                      "ids, which only the CSR arena stores; implicit topologies "
-                      "compute neighbors from the id itself — set topology_backend "
-                      "'arena' (or 'auto') or graph_layout 'identity'");
-    if (layout == graph::GraphLayout::Hilbert) {
-      PLURALITY_REQUIRE(topo_kind == "torus" || topo_kind == "lattice",
-                        "scenario: graph_layout 'hilbert' orders a 2-D grid; topology '"
-                            << topology << "' has no grid shape — use 'rcm', 'degree', "
-                            "or 'auto'");
-    }
-    PLURALITY_REQUIRE(n <= 4294967295ULL,
-                      "scenario: graph_layout '" << graph_layout << "' builds a u32 "
-                      "permutation over the CSR arena, capping n at 4294967295 (got "
-                          << n << ")");
-    PLURALITY_REQUIRE(shuffle_layout,
-                      "scenario: shuffle_layout=false pins the deterministic block "
-                      "layout, but graph_layout '" << graph_layout << "' (resolved '"
-                          << graph::graph_layout_name(layout) << "') permutes the node "
-                      "ids underneath it — the two contradict; set shuffle_layout=true "
-                      "or graph_layout='identity'");
-  }
-  PLURALITY_REQUIRE(tile_nodes <= 8192,
-                    "scenario: tile_nodes caps at 8192 (the batched engine's per-tile "
-                    "word budget), got " << tile_nodes << "; 0 derives the tile "
-                    "automatically");
-  PLURALITY_REQUIRE(prefetch_distance <= 1024,
-                    "scenario: prefetch_distance caps at 1024 (beyond L2's pending-miss "
-                    "capacity it only pollutes), got " << prefetch_distance
-                        << "; 0 disables software prefetch");
   if (topology_backend == "arena") {
     const std::string topo_kind = split_spec(topology).kind;
     PLURALITY_REQUIRE(topo_kind != "clique" && topo_kind != "gossip",

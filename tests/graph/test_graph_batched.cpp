@@ -47,9 +47,11 @@ namespace {
 std::vector<std::vector<state_t>> batched_trajectory(const Dynamics& dynamics,
                                                      const AgentGraph& graph,
                                                      const Configuration& start,
-                                                     std::uint64_t seed, int rounds) {
+                                                     std::uint64_t seed, int rounds,
+                                                     const StepTuning& tuning = {}) {
   GraphSimulation sim(dynamics, graph, start, seed, /*shuffle_layout=*/true,
                       EngineMode::Batched);
+  sim.set_tuning(tuning);
   std::vector<std::vector<state_t>> out;
   for (int r = 0; r < rounds; ++r) {
     sim.step();
@@ -119,14 +121,15 @@ TEST(GraphBatched, TileSizeNeverChangesResults) {
   set_batched_simd_enabled(false);
   const auto baseline = batched_trajectory(majority, graph, start, 9, 4);
   const auto baseline_u = batched_trajectory(undecided, graph, start_undecided, 9, 4);
-  for (const std::size_t tile : {1UL, 7UL, 64UL, 129UL, 4096UL}) {
-    set_batched_tile_nodes_override(tile);
-    EXPECT_EQ(batched_trajectory(majority, graph, start, 9, 4), baseline)
+  for (const std::uint32_t tile : {1U, 7U, 64U, 129U, 4096U}) {
+    StepTuning tuning;
+    tuning.tile_nodes = tile;
+    EXPECT_EQ(batched_trajectory(majority, graph, start, 9, 4, tuning), baseline)
         << "tile=" << tile;
-    EXPECT_EQ(batched_trajectory(undecided, graph, start_undecided, 9, 4), baseline_u)
+    EXPECT_EQ(batched_trajectory(undecided, graph, start_undecided, 9, 4, tuning),
+              baseline_u)
         << "tile=" << tile;
   }
-  set_batched_tile_nodes_override(0);
   // And the SIMD path (fused kernels ignore tiling) must agree with every
   // scalar tiling.
   if (batched_simd_active()) {

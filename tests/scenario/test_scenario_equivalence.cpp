@@ -182,10 +182,6 @@ TEST(ScenarioEquivalence, AgentAutoResolution) {
 TEST(ScenarioEquivalence, GraphStrict) {
   ScenarioSpec spec = base_spec();
   spec.topology = "regular:8";
-  // The legacy call builds the identity layout; graph_layout=auto would
-  // resolve to rcm here and run the relabeled strict pipeline (different
-  // stream addressing by design — tests/graph/test_layout.cpp covers it).
-  spec.graph_layout = "identity";
   spec.n = 2500;
   spec.k = 3;
   spec.trials = 6;
@@ -197,7 +193,6 @@ TEST(ScenarioEquivalence, GraphStrict) {
 TEST(ScenarioEquivalence, GraphStrictAdversary) {
   ScenarioSpec spec = base_spec();
   spec.topology = "gnm:10000";
-  spec.graph_layout = "identity";  // match the legacy identity-layout build
   spec.n = 2500;
   spec.k = 3;
   spec.trials = 6;
@@ -223,9 +218,6 @@ TEST(ScenarioEquivalence, GraphBatched) {
 TEST(ScenarioEquivalence, GraphBatchedAdversary) {
   ScenarioSpec spec = base_spec();
   spec.topology = "regular:6";
-  // The adversary's victim scan walks node-index order, which a relabeling
-  // permutes — pin the layout so both sides corrupt the same nodes.
-  spec.graph_layout = "identity";
   spec.n = 2500;
   spec.k = 3;
   spec.trials = 6;

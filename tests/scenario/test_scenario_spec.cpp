@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -90,6 +92,84 @@ TEST(ScenarioSpec, ParallelFieldIsRejectedNamingThePlanner) {
               (void)ScenarioSpec::from_json(io::parse_json(R"({"parallel": false})"));
             }).find("planner"),
             std::string::npos);
+}
+
+TEST(ScenarioSpec, RemovedLocalityFieldsAreRejectedNamingTheRemoval) {
+  // Graphs step in the order their builder numbered them, with the default
+  // cache tuning; every face of the spec refuses the old fields by name.
+  const auto message = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::vector<std::pair<std::string, std::string>> removed = {
+      {"graph_layout", "rcm"}, {"graph_layout", "identity"}, {"tile_nodes", "512"},
+      {"prefetch_distance", "32"}, {"prefetch_distance", "not-a-number"}};
+  for (const auto& [key, value] : removed) {
+    const std::string needle = "'" + key + "' is no longer a spec field";
+    const std::string text = "topology=regular:8 " + key + "=" + value;
+    EXPECT_NE(message([&] { (void)ScenarioSpec::parse(text); }).find(needle),
+              std::string::npos)
+        << text;
+    ScenarioSpec spec;
+    EXPECT_NE(message([&] { spec.set_field(key, value); }).find(needle), std::string::npos)
+        << key;
+    const std::string json = "{\"" + key + "\": \"" + value + "\"}";
+    EXPECT_NE(message([&] { (void)ScenarioSpec::from_json(io::parse_json(json)); })
+                  .find(needle),
+              std::string::npos)
+        << json;
+  }
+  EXPECT_NE(message([] {
+              (void)ScenarioSpec::from_json(io::parse_json(R"({"tile_nodes": 64})"));
+            }).find("'tile_nodes' is no longer a spec field"),
+            std::string::npos);
+  // Neither the spec's emitted forms nor the unknown-field hint name them.
+  const ScenarioSpec spec;
+  for (const char* key : {"graph_layout", "tile_nodes", "prefetch_distance"}) {
+    EXPECT_EQ(spec.to_spec_string().find(key), std::string::npos) << key;
+    EXPECT_EQ(spec.to_json().to_string().find(key), std::string::npos) << key;
+    EXPECT_EQ(message([] { (void)ScenarioSpec::parse("bogus=1"); }).find(key),
+              std::string::npos)
+        << key;
+  }
+  // With no relabeling left to contradict, the block layout is legal on
+  // every topology.
+  EXPECT_NO_THROW(ScenarioSpec::parse("topology=regular:8 shuffle_layout=false").validate());
+}
+
+TEST(ScenarioSpec, PushEngineGating) {
+  const auto rejects = [](const std::string& text, const std::string& needle) {
+    try {
+      ScenarioSpec::parse(text).validate();
+      ADD_FAILURE() << "expected '" << text << "' to be rejected";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "message for '" << text << "' lacks '" << needle << "': " << e.what();
+    }
+  };
+  // The happy path: arity-1 dynamics on the graph backend.
+  ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=regular:8").validate();
+  ScenarioSpec::parse("engine=push dynamics=undecided topology=torus n=10000").validate();
+  // Push on the clique auto-routes to the graph engine (the implicit
+  // complete graph), never to count/agent.
+  EXPECT_EQ(ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=clique")
+                .resolved_backend(),
+            "graph");
+  // Arity >= 2 rules have no scatter formulation.
+  rejects("engine=push dynamics=3-majority topology=regular:8", "arity-1");
+  // Explicit non-graph backends cannot run it.
+  rejects("engine=push dynamics=voter k=2 topology=clique backend=count", "backend");
+  rejects("engine=push dynamics=voter k=2 topology=clique backend=agent", "backend");
+  // The pair buffer packs two u32 ids per word.
+  ScenarioSpec big = ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=gossip");
+  big.n = 8589934592ULL;  // 2^33
+  EXPECT_THROW(big.validate(), CheckError);
+  // Unknown engine names still say what IS known.
+  rejects("engine=scatter", "push");
 }
 
 TEST(ScenarioSpec, JsonRoundTrips) {
