@@ -19,10 +19,9 @@
 //     based Philox + stage-split SIMD pipeline) — against the FROZEN
 //     pre-refactor stepper (reference_sim.cpp) per topology and dynamics,
 //     plus the count-based clique stepper as the "don't simulate agents on
-//     a clique" yardstick. The push-mode scatter stepper rides on the
-//     arity-1 rows (voter, undecided-state).
+//     a clique" yardstick.
 //
-// Writes BENCH_graphs.json, schema_version 4 (override with --json); CI
+// Writes BENCH_graphs.json, schema_version 5 (override with --json); CI
 // re-measures --quick per commit and gates regressions against the
 // committed snapshot (scripts/perf_guard.py).
 #include <cmath>
@@ -44,7 +43,6 @@
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
 #include "graph/reference_sim.hpp"
-#include "graph/step_push.hpp"
 #include "io/json.hpp"
 #include "rng/stream.hpp"
 #include "stats/summary.hpp"
@@ -248,7 +246,6 @@ int run(int argc, const char* const* argv) {
     double avg_degree = 0.0;
     double strict_rps = 0.0;
     double batched_rps = 0.0;
-    double push_rps = 0.0;  // 0 = no push kernel for this dynamics
     double reference_rps = 0.0;
   };
   std::vector<PerfRow> perf_rows;
@@ -258,7 +255,7 @@ int run(int argc, const char* const* argv) {
       UndecidedState::extend_with_undecided(perf_start_colors);
 
   io::Table perf_table({"topology", "dynamics", "strict rounds/s", "batched rounds/s",
-                        "push rounds/s", "reference rounds/s", "strict/ref",
+                        "reference rounds/s", "strict/ref",
                         "batched/strict"});
   for (const auto& entry : perf_entries) {
     struct DynEntry {
@@ -283,9 +280,6 @@ int run(int argc, const char* const* argv) {
       };
       const double strict_rps = engine_rps(graph::EngineMode::Strict);
       const double batched_rps = engine_rps(graph::EngineMode::Batched);
-      const double push_rps = graph::push_has_kernel(*dyn.dynamics)
-                                  ? engine_rps(graph::EngineMode::Push)
-                                  : 0.0;
       const double reference_rps = measure_sim_rounds_per_sec(
           [&] {
             return std::make_unique<graph::ReferenceGraphSimulation>(
@@ -298,7 +292,6 @@ int run(int argc, const char* const* argv) {
       row.avg_degree = average_degree(*entry.graph);
       row.strict_rps = strict_rps;
       row.batched_rps = batched_rps;
-      row.push_rps = push_rps;
       row.reference_rps = reference_rps;
       perf_rows.push_back(row);
       perf_table.row()
@@ -306,7 +299,6 @@ int run(int argc, const char* const* argv) {
           .cell(row.dynamics)
           .cell(strict_rps)
           .cell(batched_rps)
-          .cell(push_rps > 0.0 ? format_sig(push_rps, 4) : std::string("—"))
           .cell(reference_rps)
           .cell(format_sig(strict_rps / reference_rps, 3) + "x")
           .cell(format_sig(batched_rps / strict_rps, 3) + "x");
@@ -331,7 +323,6 @@ int run(int argc, const char* const* argv) {
         .cell("—")
         .cell("—")
         .cell("—")
-        .cell("—")
         .cell("—");
   }
   std::cout << "throughput at n = " << format_count(perf_n_grid)
@@ -339,15 +330,15 @@ int run(int argc, const char* const* argv) {
             << format_sig(budget, 2) << " s/cell)\n";
   exp.emit(perf_table, "throughput");
 
-  // ----------------------------------------- JSON (schema_version 4) ------
+  // ----------------------------------------- JSON (schema_version 5) ------
   // v2: per-row strict/batched/reference engine numbers (the perf guard's
   // cells), and the count-based yardstick reports rounds_per_sec plus a
   // clearly named equivalent_node_updates_per_sec (a count round updates k
   // classes, not n nodes). v3 added locality-sweep cells keyed
-  // "<base>/<layout>"; v4 drops them with the relabeling they measured and
-  // carries push_* metrics on the arity-1 rows of the throughput section,
-  // plus the push-vs-strict headline.
-  io::JsonValue doc = make_bench_doc("graphs", 4, exp);
+  // "<base>/<layout>"; v4 dropped them with the relabeling they measured and
+  // carried push_* metrics on the arity-1 rows of the throughput section,
+  // plus a push-vs-strict headline; v5 drops those with the push engine.
+  io::JsonValue doc = make_bench_doc("graphs", 5, exp);
   doc.set("n", std::uint64_t{perf_n_grid});
   doc.set("time_budget_seconds", budget);
   doc.set("rearm_period_rounds", kBlock);
@@ -360,8 +351,6 @@ int run(int argc, const char* const* argv) {
   io::JsonValue& rows = doc.set("topologies", io::JsonValue::array());
   double best_regular_strict_speedup = 0.0;
   double best_regular_batched_vs_strict = 0.0;
-  double push_voter_regular_rps = 0.0;
-  double strict_voter_regular_rps = 0.0;
   const auto nups = [&](double rps) { return rps * static_cast<double>(perf_n_grid); };
   for (const PerfRow& row : perf_rows) {
     io::JsonValue& entry = rows.push(io::JsonValue::object());
@@ -373,19 +362,10 @@ int run(int argc, const char* const* argv) {
     entry.set("strict_node_updates_per_sec", nups(row.strict_rps));
     entry.set("batched_rounds_per_sec", row.batched_rps);
     entry.set("batched_node_updates_per_sec", nups(row.batched_rps));
-    if (row.push_rps > 0.0) {
-      entry.set("push_rounds_per_sec", row.push_rps);
-      entry.set("push_node_updates_per_sec", nups(row.push_rps));
-      entry.set("push_speedup_vs_strict", row.push_rps / row.strict_rps);
-    }
     entry.set("reference_rounds_per_sec", row.reference_rps);
     entry.set("reference_node_updates_per_sec", nups(row.reference_rps));
     entry.set("strict_speedup_vs_reference", row.strict_rps / row.reference_rps);
     entry.set("batched_speedup_vs_strict", row.batched_rps / row.strict_rps);
-    if (row.topology == "random 8-regular" && row.dynamics == voter.name()) {
-      push_voter_regular_rps = row.push_rps;
-      strict_voter_regular_rps = row.strict_rps;
-    }
     if (row.topology == "random 8-regular") {
       best_regular_strict_speedup =
           std::max(best_regular_strict_speedup, row.strict_rps / row.reference_rps);
@@ -395,14 +375,6 @@ int run(int argc, const char* const* argv) {
   }
   doc.set("best_random_regular_speedup", best_regular_strict_speedup);
   doc.set("best_random_regular_batched_vs_strict", best_regular_batched_vs_strict);
-
-  // The push headline: the scatter stepper against the pull strict
-  // baseline on the canonical expander cell (voter, random 8-regular).
-  doc.set("push_voter_regular_node_updates_per_sec", nups(push_voter_regular_rps));
-  doc.set("push_voter_regular_vs_strict",
-          strict_voter_regular_rps > 0.0
-              ? push_voter_regular_rps / strict_voter_regular_rps
-              : 0.0);
 
   write_bench_json(doc, exp.cli().get_string("json"));
 

@@ -111,19 +111,21 @@ int main(int argc, char** argv) {
   CliParser cli("plurality_sim", "run any scenario: one declarative spec, any backend");
   cli.add_string("spec", "", "read the ScenarioSpec from this JSON file");
   cli.add_string("scenario", "", "compact spec string: \"key=value ...\" (see --list)");
-  cli.add_string("dynamics", "3-majority", "protocol name (see --list)");
-  cli.add_string("workload", "bias:2c", "initial configuration spec (see --list)");
-  cli.add_string("topology", "clique", "topology spec (see --list)");
-  cli.add_string("adversary", "none", "adversary spec (see --list)");
-  cli.add_string("backend", "auto", "auto | count | agent | graph");
-  cli.add_string("engine", "strict", "strict | batched");
-  cli.add_string("stop", "consensus", "consensus | m-plurality:<M> | any-reaches:<T>");
-  cli.add_uint("n", 1'000'000, "number of nodes");
-  cli.add_uint("k", 4, "number of colors");
-  cli.add_uint("trials", 20, "independent trials");
-  cli.add_uint("seed", 1, "master seed");
-  cli.add_uint("max-rounds", 10'000'000, "round cap per trial");
-  cli.add_flag("agent", "force the agent-level backend (same as --backend agent)");
+  // Every flag defaults to the ScenarioSpec field it fills: flags and specs
+  // share one source of defaults.
+  const scenario::ScenarioSpec defaults;
+  cli.add_string("dynamics", defaults.dynamics, "protocol name (see --list)");
+  cli.add_string("workload", defaults.workload, "initial configuration spec (see --list)");
+  cli.add_string("topology", defaults.topology, "topology spec (see --list)");
+  cli.add_string("adversary", defaults.adversary, "adversary spec (see --list)");
+  cli.add_string("backend", defaults.backend, "auto | count | agent | graph");
+  cli.add_string("engine", defaults.engine, "strict | batched");
+  cli.add_string("stop", defaults.stop, "consensus | m-plurality:<M> | any-reaches:<T>");
+  cli.add_uint("n", defaults.n, "number of nodes");
+  cli.add_uint("k", defaults.k, "number of colors");
+  cli.add_uint("trials", defaults.trials, "independent trials");
+  cli.add_uint("seed", defaults.seed, "master seed");
+  cli.add_uint("max-rounds", defaults.max_rounds, "round cap per trial");
   cli.add_flag("trajectory", "print one trial's round-by-round trajectory");
   cli.add_string("csv", "", "write the trajectory to this CSV path");
   cli.add_string("out", "", "write the ScenarioResult JSON to this path");
@@ -145,9 +147,8 @@ int main(int argc, char** argv) {
   } else if (!cli.get_string("scenario").empty()) {
     spec = scenario::ScenarioSpec::parse(cli.get_string("scenario"));
   }
-  const bool from_file = !cli.get_string("spec").empty() || !cli.get_string("scenario").empty();
   const auto take_string = [&](const char* flag, std::string& field) {
-    if (!from_file || cli.provided(flag)) field = cli.get_string(flag);
+    if (cli.provided(flag)) field = cli.get_string(flag);
   };
   take_string("dynamics", spec.dynamics);
   take_string("workload", spec.workload);
@@ -156,12 +157,11 @@ int main(int argc, char** argv) {
   take_string("backend", spec.backend);
   take_string("engine", spec.engine);
   take_string("stop", spec.stop);
-  if (!from_file || cli.provided("n")) spec.n = cli.get_uint("n");
-  if (!from_file || cli.provided("k")) spec.k = static_cast<state_t>(cli.get_uint("k"));
-  if (!from_file || cli.provided("trials")) spec.trials = cli.get_uint("trials");
-  if (!from_file || cli.provided("seed")) spec.seed = cli.get_uint("seed");
-  if (!from_file || cli.provided("max-rounds")) spec.max_rounds = cli.get_uint("max-rounds");
-  if (cli.flag("agent")) spec.backend = "agent";
+  if (cli.provided("n")) spec.n = cli.get_uint("n");
+  if (cli.provided("k")) spec.k = static_cast<state_t>(cli.get_uint("k"));
+  if (cli.provided("trials")) spec.trials = cli.get_uint("trials");
+  if (cli.provided("seed")) spec.seed = cli.get_uint("seed");
+  if (cli.provided("max-rounds")) spec.max_rounds = cli.get_uint("max-rounds");
 
   const scenario::Scenario compiled = scenario::Scenario::compile(spec);
   const auto& resolved = compiled.spec();

@@ -324,7 +324,8 @@ inline constexpr unsigned kMaxPrefetchWindow = 64;
 /// the same bounds — and combine IS the rule's post-gather arithmetic, so
 /// results are bitwise-identical to the unwindowed loop for every
 /// windowable rule (pinned by the golden-trajectory suite, which runs at
-/// the default prefetch distance, and by test_push's prefetch=0 cross).
+/// the default prefetch distance, and by test_graph_batched's prefetch=0
+/// cross).
 /// `sampler_for(i)` yields the node's sampler (any of the three above).
 template <class Rule, typename TNode, class SamplerFor>
 inline void run_chunk_nodes(const Rule& rule, const TNode* __restrict nodes,

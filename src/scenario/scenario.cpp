@@ -60,9 +60,7 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   options.trials = spec.trials;
   options.seed = spec.seed;
   options.max_rounds = spec.max_rounds;
-  options.mode = spec.engine == "batched"  ? EngineMode::Batched
-                 : spec.engine == "push"   ? EngineMode::Push
-                                           : EngineMode::Strict;
+  options.mode = spec.engine == "batched" ? EngineMode::Batched : EngineMode::Strict;
   options.adversary = compiled.adversary_.get();
   options.shuffle_layout = spec.shuffle_layout;
   options.backend = backend == "agent" ? Backend::Agent : Backend::CountBased;

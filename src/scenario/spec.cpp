@@ -10,7 +10,6 @@
 #include "core/registry.hpp"
 #include "core/workloads.hpp"
 #include "graph/implicit_topology.hpp"
-#include "graph/step_push.hpp"
 #include "graph/topology_registry.hpp"
 #include "support/check.hpp"
 #include "support/specs.hpp"
@@ -109,9 +108,6 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
 /// below always apply to what will actually run).
 std::string resolve_backend_impl(const ScenarioSpec& spec, const Dynamics& dyn) {
   if (spec.backend != "auto") return spec.backend;
-  // Push is a graph-engine pipeline (the implicit clique included), so
-  // "auto" never routes it to the count/agent drivers.
-  if (spec.engine == "push") return "graph";
   if (!graph::topology_is_clique(spec.topology)) return "graph";
   if (dyn.has_exact_law(dyn.num_states(spec.k))) return "count";
   // No exact law on the clique: a per-agent backend. The core agent
@@ -258,9 +254,12 @@ void ScenarioSpec::validate() const {
                                            << " but the spec says k = " << k
                                            << "; set k accordingly");
 
-  PLURALITY_REQUIRE(engine == "strict" || engine == "batched" || engine == "push",
-                    "scenario: engine must be 'strict', 'batched', or 'push', got '"
-                        << engine << "'");
+  PLURALITY_REQUIRE(engine != "push",
+                    "scenario: engine 'push' was removed; it was bitwise identical to "
+                    "'batched' — use engine=batched");
+  PLURALITY_REQUIRE(engine == "strict" || engine == "batched",
+                    "scenario: engine must be 'strict' or 'batched', got '" << engine
+                                                                            << "'");
   PLURALITY_REQUIRE(backend == "auto" || backend == "count" || backend == "agent" ||
                         backend == "graph",
                     "scenario: backend must be auto/count/agent/graph, got '" << backend
@@ -307,20 +306,6 @@ void ScenarioSpec::validate() const {
   // rejects them at run time (inside a parallel trial loop, where a throw
   // is fatal).
   const std::string resolved = resolve_backend_impl(*this, *dyn);
-  if (engine == "push") {
-    PLURALITY_REQUIRE(resolved == "graph",
-                      "scenario: engine 'push' is a graph-engine pipeline, but this "
-                      "spec resolves to backend '" << resolved << "'; set backend "
-                      "'graph' (or 'auto')");
-    PLURALITY_REQUIRE(graph::push_has_kernel(*dyn),
-                      "scenario: engine 'push' covers the arity-1 dynamics (voter, "
-                      "undecided); dynamics '" << dynamics << "' samples more than one "
-                      "neighbor per round — use engine 'batched' or 'strict'");
-    PLURALITY_REQUIRE(n <= 4294967295ULL,
-                      "scenario: engine 'push' packs (source, dest) node-id pairs into "
-                      "64 bits, capping n at 4294967295 (got " << n << "); use engine "
-                      "'batched'");
-  }
   if (resolved == "agent") {
     PLURALITY_REQUIRE(engine == "strict",
                       "scenario: the agent backend has no batched pipeline; use backend "

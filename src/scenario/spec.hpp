@@ -12,7 +12,7 @@
 //   topology   topology spec            (graph/topology_registry.hpp grammar)
 //   adversary  adversary spec           (core/adversary.hpp grammar)
 //   backend    auto | count | agent | graph
-//   engine     strict | batched | push  (core/engine_mode.hpp)
+//   engine     strict | batched  (core/engine_mode.hpp)
 //   stop       consensus | m-plurality:<M> | any-reaches:<T>
 //   n, k, trials, seed, max_rounds, shuffle_layout
 //
@@ -21,7 +21,8 @@
 // `parallel` field fails with a message saying so. The removed fields
 // `graph_layout`, `tile_nodes` and `prefetch_distance` fail the same way:
 // graphs step in the order their builder numbered them, with the default
-// cache tuning.
+// cache tuning. So does the removed `engine=push` value (it was bitwise
+// identical to `batched`).
 //
 // Specs parse from "key=value" strings or JSON files, validate with
 // actionable errors, compile (scenario.hpp) into the right backend, and

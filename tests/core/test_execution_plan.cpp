@@ -216,15 +216,11 @@ TEST(ExecutionPlanInvariance, GraphDriverEveryEngine) {
         return graph::run_graph_trials(majority, *graph, start, options);
       });
     }
-    // Push covers the arity-1 dynamics.
-    for (const EngineMode mode : {EngineMode::Batched, EngineMode::Push}) {
-      const std::string engine = mode == EngineMode::Push ? "push" : "batched";
-      expect_invariant("graph " + topo + " undecided " + engine, [&](Parallelism p) {
-        CommonTrialOptions options = forced(p, 32);
-        options.mode = mode;
-        return graph::run_graph_trials(undecided, *graph, start_u, options);
-      });
-    }
+    expect_invariant("graph " + topo + " undecided batched", [&](Parallelism p) {
+      CommonTrialOptions options = forced(p, 32);
+      options.mode = EngineMode::Batched;
+      return graph::run_graph_trials(undecided, *graph, start_u, options);
+    });
   }
 }
 

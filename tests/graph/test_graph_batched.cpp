@@ -1,13 +1,15 @@
 // Invariance and equivalence contracts of the batched engine
 // (EngineMode::Batched, step_batched.cpp).
 //
-// Four pins:
+// Five pins:
 //  * SIMD == scalar, bitwise: the fused/vector paths must reproduce the
 //    scalar stage-split pipeline word for word — SIMD availability can
 //    change speed, never results.
 //  * Batch-size invariance: the tile size is a pure performance knob; the
 //    (seed, round, node, draw) randomness addressing makes results
 //    independent of it by construction, and this test keeps it that way.
+//  * Tuning is performance-only: tile size and prefetch distance (strict
+//    AND batched) never change a single bit of the trajectory.
 //  * Thread-count invariance: same property for the OpenMP team size.
 //  * Cross-mode distributional equivalence: Strict and Batched simulate
 //    the same Markov chain with different generators, so their
@@ -31,6 +33,7 @@
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
+#include "graph/implicit_topology.hpp"
 #include "graph/step_batched.hpp"
 #include "stats/chi_square.hpp"
 #include "stats/quantile.hpp"
@@ -42,15 +45,15 @@
 namespace plurality::graph {
 namespace {
 
-/// Runs `rounds` batched rounds and returns the node-state trajectory hashes
-/// (the full state vector per round, compared exactly by the callers).
-std::vector<std::vector<state_t>> batched_trajectory(const Dynamics& dynamics,
-                                                     const AgentGraph& graph,
-                                                     const Configuration& start,
-                                                     std::uint64_t seed, int rounds,
-                                                     const StepTuning& tuning = {}) {
-  GraphSimulation sim(dynamics, graph, start, seed, /*shuffle_layout=*/true,
-                      EngineMode::Batched);
+/// Runs `rounds` rounds under `mode` and returns the per-round state
+/// vectors (exact comparison material for the bitwise pins).
+std::vector<std::vector<state_t>> trajectory(const Dynamics& dynamics,
+                                             const AgentGraph& graph,
+                                             const Configuration& start,
+                                             std::uint64_t seed, EngineMode mode,
+                                             int rounds,
+                                             const StepTuning& tuning = {}) {
+  GraphSimulation sim(dynamics, graph, start, seed, /*shuffle_layout=*/true, mode);
   sim.set_tuning(tuning);
   std::vector<std::vector<state_t>> out;
   for (int r = 0; r < rounds; ++r) {
@@ -58,6 +61,19 @@ std::vector<std::vector<state_t>> batched_trajectory(const Dynamics& dynamics,
     out.push_back(sim.states());
   }
   return out;
+}
+
+std::vector<std::vector<state_t>> batched_trajectory(const Dynamics& dynamics,
+                                                     const AgentGraph& graph,
+                                                     const Configuration& start,
+                                                     std::uint64_t seed, int rounds,
+                                                     const StepTuning& tuning = {}) {
+  return trajectory(dynamics, graph, start, seed, EngineMode::Batched, rounds, tuning);
+}
+
+Topology test_regular(count_t n, count_t d, std::uint64_t seed) {
+  rng::Xoshiro256pp gen(seed);
+  return random_regular(n, d, gen);
 }
 
 struct Scenario {
@@ -75,6 +91,11 @@ std::vector<Scenario> scenarios() {
   // An irregular graph exercises the CSR (non-fused) pipeline too.
   out.push_back({"G(n,m)", AgentGraph::from_topology(
                                erdos_renyi(900, 3600, topo_gen, /*patch_isolated=*/true))});
+  out.push_back({"torus", AgentGraph::from_topology(torus(30, 30))});
+  // The implicit samplers compute neighbors arithmetically in the kernels.
+  out.push_back({"implicit ring", AgentGraph::implicit(ImplicitTopology::ring(900))});
+  out.push_back(
+      {"implicit lattice:6", AgentGraph::implicit(ImplicitTopology::lattice(900, 6))});
   return out;
 }
 
@@ -281,6 +302,44 @@ TEST(GraphBatched, RuleTableFallsBackToStrict) {
     strict.step();
     batched.step();
     ASSERT_EQ(strict.states(), batched.states()) << "round " << r;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tuning is performance-only.
+
+TEST(StepTuningKnobs, StrictPrefetchWindowIsBitwiseInert) {
+  // prefetch_distance=0 runs the legacy per-node loop; the default windowed
+  // path must reproduce it exactly (same draw order, same states).
+  const ThreeMajority majority;
+  const UndecidedState undecided;
+  const AgentGraph graph = AgentGraph::from_topology(test_regular(1500, 8, 51));
+  const Configuration start3 = workloads::parse_workload("bias:40", 1500, 3);
+  const Configuration startu =
+      UndecidedState::extend_with_undecided(workloads::parse_workload("bias:40", 1500, 3));
+  for (const std::uint32_t distance : {0u, 4u, 16u, 300u}) {
+    const StepTuning tuning{0, distance};
+    EXPECT_EQ(trajectory(majority, graph, start3, 61, EngineMode::Strict, 4, tuning),
+              trajectory(majority, graph, start3, 61, EngineMode::Strict, 4))
+        << "prefetch " << distance;
+    EXPECT_EQ(trajectory(undecided, graph, startu, 62, EngineMode::Strict, 4, tuning),
+              trajectory(undecided, graph, startu, 62, EngineMode::Strict, 4))
+        << "prefetch " << distance;
+  }
+}
+
+TEST(StepTuningKnobs, BatchedTileAndPrefetchAreBitwiseInert) {
+  const ThreeMajority majority;
+  const AgentGraph graph = AgentGraph::from_topology(test_regular(1500, 8, 52));
+  const Configuration start = workloads::parse_workload("bias:40", 1500, 3);
+  const auto reference = trajectory(majority, graph, start, 63, EngineMode::Batched, 4);
+  for (const std::uint32_t tile : {0u, 64u, 777u, 8192u}) {
+    for (const std::uint32_t distance : {0u, 16u}) {
+      const StepTuning tuning{tile, distance};
+      EXPECT_EQ(trajectory(majority, graph, start, 63, EngineMode::Batched, 4, tuning),
+                reference)
+          << "tile " << tile << " prefetch " << distance;
+    }
   }
 }
 

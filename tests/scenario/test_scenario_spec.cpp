@@ -94,9 +94,12 @@ TEST(ScenarioSpec, ParallelFieldIsRejectedNamingThePlanner) {
             std::string::npos);
 }
 
-TEST(ScenarioSpec, RemovedLocalityFieldsAreRejectedNamingTheRemoval) {
+TEST(ScenarioSpec, RemovedFieldsAndValuesAreRejectedNamingTheRemoval) {
   // Graphs step in the order their builder numbered them, with the default
-  // cache tuning; every face of the spec refuses the old fields by name.
+  // cache tuning, and `batched` is the only counter-based graph pipeline;
+  // every face of the spec refuses the old fields and the old engine by
+  // name. A removed field fails at parse time, a removed value at
+  // validate().
   const auto message = [](const auto& parse) {
     try {
       parse();
@@ -105,24 +108,45 @@ TEST(ScenarioSpec, RemovedLocalityFieldsAreRejectedNamingTheRemoval) {
     }
     return std::string("no error");
   };
-  const std::vector<std::pair<std::string, std::string>> removed = {
-      {"graph_layout", "rcm"}, {"graph_layout", "identity"}, {"tile_nodes", "512"},
-      {"prefetch_distance", "32"}, {"prefetch_distance", "not-a-number"}};
-  for (const auto& [key, value] : removed) {
-    const std::string needle = "'" + key + "' is no longer a spec field";
+  struct Removed {
+    std::string key;
+    std::string value;
+    std::string needle;
+  };
+  const std::string push_needle =
+      "engine 'push' was removed; it was bitwise identical to 'batched' — use "
+      "engine=batched";
+  const std::vector<Removed> removed = {
+      {"graph_layout", "rcm", "'graph_layout' is no longer a spec field"},
+      {"graph_layout", "identity", "'graph_layout' is no longer a spec field"},
+      {"tile_nodes", "512", "'tile_nodes' is no longer a spec field"},
+      {"prefetch_distance", "32", "'prefetch_distance' is no longer a spec field"},
+      {"prefetch_distance", "not-a-number", "'prefetch_distance' is no longer a spec field"},
+      {"engine", "push", push_needle}};
+  for (const auto& [key, value, needle] : removed) {
     const std::string text = "topology=regular:8 " + key + "=" + value;
-    EXPECT_NE(message([&] { (void)ScenarioSpec::parse(text); }).find(needle),
+    EXPECT_NE(message([&] { ScenarioSpec::parse(text).validate(); }).find(needle),
               std::string::npos)
         << text;
     ScenarioSpec spec;
-    EXPECT_NE(message([&] { spec.set_field(key, value); }).find(needle), std::string::npos)
+    EXPECT_NE(message([&] {
+                spec.set_field(key, value);
+                spec.validate();
+              }).find(needle),
+              std::string::npos)
         << key;
     const std::string json = "{\"" + key + "\": \"" + value + "\"}";
-    EXPECT_NE(message([&] { (void)ScenarioSpec::from_json(io::parse_json(json)); })
+    EXPECT_NE(message([&] { ScenarioSpec::from_json(io::parse_json(json)).validate(); })
                   .find(needle),
               std::string::npos)
         << json;
   }
+  // Unknown engine names say what IS known, and push is not among them.
+  const std::string unknown_engine =
+      message([] { ScenarioSpec::parse("engine=scatter").validate(); });
+  EXPECT_NE(unknown_engine.find("'strict' or 'batched'"), std::string::npos)
+      << unknown_engine;
+  EXPECT_EQ(unknown_engine.find("push"), std::string::npos) << unknown_engine;
   EXPECT_NE(message([] {
               (void)ScenarioSpec::from_json(io::parse_json(R"({"tile_nodes": 64})"));
             }).find("'tile_nodes' is no longer a spec field"),
@@ -139,37 +163,6 @@ TEST(ScenarioSpec, RemovedLocalityFieldsAreRejectedNamingTheRemoval) {
   // With no relabeling left to contradict, the block layout is legal on
   // every topology.
   EXPECT_NO_THROW(ScenarioSpec::parse("topology=regular:8 shuffle_layout=false").validate());
-}
-
-TEST(ScenarioSpec, PushEngineGating) {
-  const auto rejects = [](const std::string& text, const std::string& needle) {
-    try {
-      ScenarioSpec::parse(text).validate();
-      ADD_FAILURE() << "expected '" << text << "' to be rejected";
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << "message for '" << text << "' lacks '" << needle << "': " << e.what();
-    }
-  };
-  // The happy path: arity-1 dynamics on the graph backend.
-  ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=regular:8").validate();
-  ScenarioSpec::parse("engine=push dynamics=undecided topology=torus n=10000").validate();
-  // Push on the clique auto-routes to the graph engine (the implicit
-  // complete graph), never to count/agent.
-  EXPECT_EQ(ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=clique")
-                .resolved_backend(),
-            "graph");
-  // Arity >= 2 rules have no scatter formulation.
-  rejects("engine=push dynamics=3-majority topology=regular:8", "arity-1");
-  // Explicit non-graph backends cannot run it.
-  rejects("engine=push dynamics=voter k=2 topology=clique backend=count", "backend");
-  rejects("engine=push dynamics=voter k=2 topology=clique backend=agent", "backend");
-  // The pair buffer packs two u32 ids per word.
-  ScenarioSpec big = ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=gossip");
-  big.n = 8589934592ULL;  // 2^33
-  EXPECT_THROW(big.validate(), CheckError);
-  // Unknown engine names still say what IS known.
-  rejects("engine=scatter", "push");
 }
 
 TEST(ScenarioSpec, JsonRoundTrips) {
