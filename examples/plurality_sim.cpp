@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   result.plan = compiled.plan();
   std::cout << "plan:      " << parallelism_name(result.plan->parallelism) << " on "
             << result.plan->threads << " thread(s), simd " << result.plan->simd
-            << (result.plan->bytes_only ? ", bytes-only state" : "") << "\n";
+            << (result.plan->bytes_only ? ", byte node states" : "") << "\n";
   result.summary = compiled.run();
   result.wall_seconds = timer.seconds();
   const TrialSummary& summary = result.summary;

@@ -46,8 +46,9 @@ struct ExecutionPlan {
   Parallelism parallelism = Parallelism::Trials;
   /// The thread budget the plan was made for.
   int threads = 1;
-  /// Graph driver only: state kept as the ~2n-byte mirror
-  /// (graph::graph_bytes_only_auto). Always false on the other drivers.
+  /// Graph driver only: node states stored one byte each, ~2n bytes for
+  /// the double buffer (k <= 256, graph::byte_states). Always false on the
+  /// other drivers.
   bool bytes_only = false;
   /// SIMD path of the batched graph pipeline ("avx512" / "avx2"), or
   /// "scalar" when the run takes no runtime-dispatched SIMD kernel.

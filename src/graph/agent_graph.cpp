@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
@@ -108,58 +109,37 @@ std::span<const std::uint32_t> AgentGraph::neighbors_of(count_t v) const {
 void load_nodes(const Configuration& start, bool shuffle_layout,
                 const rng::StreamFactory& streams, GraphStepWorkspace& ws,
                 const AgentGraph* /*unused*/) {
-  if (ws.bytes_only) {
-    // The byte array IS the state. rng::shuffle's swap sequence depends
-    // only on the element count, so shuffling bytes here yields the same
-    // node->state assignment as the u32 path — bitwise-identical runs.
-    PLURALITY_REQUIRE(start.k() <= 256,
-                      "load_nodes: bytes-only mode needs k <= 256");
-    const std::size_t n = start.n();
-    ws.nodes8.resize(n + 4);
-    ws.scratch8.resize(n + 4);
+  const std::size_t n = start.n();
+  ws.prepare(start.n(), start.k());
+  // rng::shuffle's swap sequence depends only on the element count, so the
+  // node->state assignment is the same at either storage width.
+  ws.with_states(start.k(), [&](auto* nodes) {
+    using TNode = std::remove_pointer_t<decltype(nodes)>;
     std::size_t pos = 0;
     for (state_t j = 0; j < start.k(); ++j) {
       const count_t c = start.at(j);
-      std::fill_n(ws.nodes8.data() + pos, c, static_cast<std::uint8_t>(j));
+      std::fill_n(nodes + pos, c, static_cast<TNode>(j));
       pos += c;
     }
     if (shuffle_layout) {
       rng::Xoshiro256pp gen = streams.stream(kLayoutStream);
-      rng::shuffle(gen, ws.nodes8.data(), n);
+      rng::shuffle(gen, nodes, n);
     }
-    std::fill_n(ws.nodes8.begin() + static_cast<std::ptrdiff_t>(n), 4,
-                std::uint8_t{0});  // SIMD tail slack
-    ws.mirror_fresh = true;  // nodes8 is authoritative by definition
-    return;
-  }
-  ws.nodes.resize(start.n());
-  ws.scratch.resize(start.n());
-  std::size_t pos = 0;
-  for (state_t j = 0; j < start.k(); ++j) {
-    const count_t c = start.at(j);
-    std::fill_n(ws.nodes.data() + pos, c, j);
-    pos += c;
-  }
-  if (shuffle_layout) {
-    rng::Xoshiro256pp gen = streams.stream(kLayoutStream);
-    rng::shuffle(gen, ws.nodes.data(), ws.nodes.size());
-  }
-  ws.mirror_fresh = false;  // nodes rewritten; the byte mirror is stale
+  });
 }
 
 namespace {
 
-/// Shared chunked-step body, instantiated once per fused rule. The chunk
-/// grid, stream derivation, and publish order are bit-for-bit the frozen
-/// reference's (reference_sim.cpp); only the per-node inner loop differs.
+/// Shared chunked-step body, instantiated once per fused rule and state
+/// width. The chunk grid, stream derivation, and publish order are
+/// bit-for-bit the frozen reference's (reference_sim.cpp); only the
+/// per-node inner loop differs.
 template <class Rule, typename TNode>
-void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* mirror_out,
-                 const AgentGraph& graph, state_t k, const rng::StreamFactory& streams,
-                 round_t round, GraphStepWorkspace& ws, const StepTuning& tuning) {
+void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGraph& graph,
+                 state_t k, const rng::StreamFactory& streams, round_t round,
+                 GraphStepWorkspace& ws, const StepTuning& tuning) {
   const std::size_t n = graph.num_nodes();
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
-  // Bytes-only mode: no u32 array exists; publish() skips the wide write.
-  state_t* out = ws.bytes_only ? nullptr : ws.scratch.data();
   count_t* partials = ws.partials.data();
   const bool complete = graph.is_complete();
   const bool implicit = graph.is_implicit();
@@ -183,17 +163,16 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* mirror_out,
     if (lo < hi) {
       rng::Xoshiro256pp gen = streams.stream(round * kGraphChunks + chunk);
       if (complete) {
-        kernels::run_chunk_complete(rule, nodes, out, mirror_out, local, lo, hi, n, k,
-                                    gen, prefetch);
+        kernels::run_chunk_complete(rule, nodes, out, local, lo, hi, n, k, gen, prefetch);
       } else if (implicit) {
-        kernels::run_chunk_implicit(rule, nodes, out, mirror_out, local, lo, hi,
+        kernels::run_chunk_implicit(rule, nodes, out, local, lo, hi,
                                     graph.implicit_topology(), k, gen, prefetch);
       } else if (regular) {
-        kernels::run_chunk_regular(rule, nodes, out, mirror_out, local, lo, hi,
-                                   neighbors, uniform_degree, k, gen, prefetch);
+        kernels::run_chunk_regular(rule, nodes, out, local, lo, hi, neighbors,
+                                   uniform_degree, k, gen, prefetch);
       } else {
-        kernels::run_chunk_csr(rule, nodes, out, mirror_out, local, lo, hi, offsets,
-                               neighbors, k, gen, prefetch);
+        kernels::run_chunk_csr(rule, nodes, out, local, lo, hi, offsets, neighbors, k, gen,
+                               prefetch);
       }
     }
   }
@@ -203,43 +182,10 @@ template <class Rule>
 void step_all_chunks(const Rule& rule, const AgentGraph& graph, Configuration& config,
                      const rng::StreamFactory& streams, round_t round,
                      GraphStepWorkspace& ws, const StepTuning& tuning) {
-  const std::size_t n = graph.num_nodes();
   const state_t k = config.k();
-
-  if (k <= 256) {
-    // Sample from the byte-wide mirror of the node states: the random
-    // sample loads then touch a 4x denser array (L1/L2-resident at bench
-    // scale). Values are identical, so results are bitwise unaffected. The
-    // sweep emits the next round's mirror as it goes (publish() in
-    // kernels.hpp); the explicit refresh below only runs when somebody
-    // rewrote ws.nodes since the last sweep (trial start, adversary).
-    std::uint8_t* mirror = ws.nodes8.data();
-    // Bytes-only mode has no u32 array to refresh from; load_nodes writes
-    // nodes8 directly and nothing else can stale it (corrupt_nodes rejects
-    // the mode).
-    if (!ws.bytes_only && !ws.mirror_fresh) {
-      const state_t* nodes = ws.nodes.data();
-#if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-      for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
-        const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
-        const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
-        const std::size_t hi = std::min(n, lo + chunk_size);
-        for (std::size_t i = lo; i < hi; ++i) {
-          mirror[i] = static_cast<std::uint8_t>(nodes[i]);
-        }
-      }
-    }
-    chunk_sweep(rule, mirror, ws.scratch8.data(), graph, k, streams, round, ws, tuning);
-    ws.nodes8.swap(ws.scratch8);
-    ws.mirror_fresh = true;
-  } else {
-    state_t* no_mirror = nullptr;
-    chunk_sweep(rule, ws.nodes.data(), no_mirror, graph, k, streams, round, ws, tuning);
-  }
-
-  ws.nodes.swap(ws.scratch);  // no-op (both empty) in bytes-only mode
+  ws.advance(k, [&](const auto* nodes, auto* out) {
+    chunk_sweep(rule, nodes, out, graph, k, streams, round, ws, tuning);
+  });
   std::fill(ws.counts.begin(), ws.counts.end(), count_t{0});
   for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
     const count_t* local = ws.partials.data() + static_cast<std::size_t>(chunk) * k;
@@ -257,8 +203,8 @@ void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
   const count_t n = graph.num_nodes();
   PLURALITY_REQUIRE(config.n() == n, "step_graph: configuration has "
                                          << config.n() << " nodes but graph has " << n);
-  PLURALITY_REQUIRE(ws.state_size() == n,
-                    "step_graph: workspace holds " << ws.state_size()
+  PLURALITY_REQUIRE(ws.state_size(config.k()) == n,
+                    "step_graph: workspace holds " << ws.state_size(config.k())
                         << " node states for " << n << " nodes — call load_nodes first");
   PLURALITY_REQUIRE(graph.is_complete() || graph.min_degree() >= 1,
                     "step_graph: isolated vertices cannot sample");
@@ -336,7 +282,6 @@ void GraphSimulation::init(const Configuration& start, bool shuffle_layout) {
                         << " nodes but topology has " << graph_->num_nodes());
   PLURALITY_REQUIRE(graph_->is_complete() || graph_->min_degree() >= 1,
                     "GraphSimulation: isolated vertices cannot sample");
-  ws_.prepare(start.n(), start.k());
   load_nodes(start, shuffle_layout, streams_, ws_);
 }
 

@@ -9,8 +9,8 @@
 //    uniform over [n] including self, matching the paper's model exactly).
 //
 //  * GraphStepWorkspace (graph_workspace.hpp) — all per-round scratch:
-//    double-buffered node-state arrays, per-chunk partial counts. Warm
-//    rounds perform zero heap allocations.
+//    one double-buffered node-state array (bytes when k <= 256), per-chunk
+//    partial counts. Warm rounds perform zero heap allocations.
 //
 //  * step_graph()/load_nodes() — the OpenMP-chunked stepper: kGraphChunks
 //    fixed chunks with one hash-derived RNG stream per (round, chunk)
@@ -124,8 +124,9 @@ class AgentGraph {
 /// every (round, chunk) stepping stream).
 inline constexpr std::uint64_t kLayoutStream = ~0ULL;
 
-/// (Re)initializes ws.nodes from a configuration: state j laid out at(j)
-/// times in node-id order, then shuffled with streams.stream(kLayoutStream)
+/// (Re)initializes the workspace's node states (at the width
+/// byte_states(start.k()) selects) from a configuration: state j laid out
+/// at(j) times in node-id order, then shuffled with streams.stream(kLayoutStream)
 /// when `shuffle_layout` (node position matters on sparse graphs, unlike
 /// the clique). Allocation-free once ws has seen this n. The trailing
 /// graph argument is unused and deprecated (the steppers already check that
@@ -136,9 +137,9 @@ void load_nodes(const Configuration& start, bool shuffle_layout,
 
 /// One synchronous round over `graph`: every node draws sample_arity()
 /// states from its neighborhood (uniform with repetition) and applies the
-/// dynamics' rule. Reads and advances ws.nodes (double-buffered through
-/// ws.scratch) and publishes the new counts into `config`. Zero heap
-/// allocations once ws is warm.
+/// dynamics' rule. Reads and advances the workspace's node states (one
+/// double buffer, at the width byte_states(k) selects) and publishes the
+/// new counts into `config`. Zero heap allocations once ws is warm.
 ///
 /// `mode` selects the stepping pipeline (see EngineMode in
 /// graph_workspace.hpp). Strict (default): randomness from
@@ -189,7 +190,10 @@ class GraphSimulation {
 
   [[nodiscard]] const Configuration& configuration() const { return config_; }
   [[nodiscard]] round_t round() const { return round_; }
-  [[nodiscard]] const std::vector<state_t>& states() const { return ws_.nodes; }
+  /// Every node's current state, widened to state_t (a copy of n values).
+  [[nodiscard]] std::vector<state_t> states() const { return ws_.states(config_.k()); }
+  /// Node v's current state (no copy).
+  [[nodiscard]] state_t state(count_t v) const { return ws_.state(v, config_.k()); }
   [[nodiscard]] const AgentGraph& graph() const { return *graph_; }
 
   /// Runs until color consensus or `max_rounds`; returns rounds used, or

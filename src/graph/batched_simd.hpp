@@ -22,16 +22,15 @@
 namespace plurality::graph::simd {
 
 /// Arguments of a fused kernel invocation: passes 1-4 for `count` nodes
-/// [base, base+count) of one chunk, byte-mirror states.
+/// [base, base+count) of one chunk, byte states (k <= 256).
 struct FusedArgs {
   rng::Philox4x32::Key key;
   std::uint64_t round;           // Philox counter domain
   std::uint64_t n_pad;           // padded node count of the word layout
   const std::uint32_t* neighbors;  // regular CSR rows; nullptr on the clique
   std::uint64_t bound;           // degree (regular) or n (complete)
-  const std::uint8_t* nodes8;    // current states, byte mirror
-  std::uint8_t* out8;            // next states, byte mirror scratch
-  state_t* out32;                // next states, state_t scratch
+  const std::uint8_t* nodes8;    // current states
+  std::uint8_t* out8;            // next states (double buffer)
   std::uint64_t base;            // first node (global id)
   std::size_t count;
   state_t states;                // state-space size (undecided rule uses k-1)

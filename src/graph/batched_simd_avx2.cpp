@@ -172,9 +172,6 @@ void fused_kernel(const FusedArgs& args) {
       const __m256i isund = _mm256_cmpeq_epi32(own, undecided);
       next = blend_mask(isund, seen, colored);
     }
-    if (args.out32 != nullptr) {  // absent in bytes-only mode
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.out32 + i), next);
-    }
     store_bytes8(args.out8 + i, next);
   }
   while (i < end) fused_scalar_node<Tag>(args, i++);

@@ -133,7 +133,7 @@ inline __m512i plane_indices(const FusedArgs& args, unsigned s, std::uint64_t no
 
 /// Gathers the sampled states (u32-widened) for 16 indices: through the
 /// neighbor row on regular graphs, directly on the complete graph. The
-/// byte mirror is padded (GraphStepWorkspace::prepare) so the u32 loads at
+/// byte states are padded (GraphStepWorkspace::prepare) so the u32 loads at
 /// nodes8 + id stay in bounds.
 template <bool Complete>
 inline __m512i gather16(const FusedArgs& args, const __m512i& idx, std::uint64_t node0) {
@@ -182,9 +182,6 @@ void fused_kernel(const FusedArgs& args) {
       const __m512i colored = _mm512_mask_blend_epi32(keep, undecided, own);
       const __mmask16 isund = _mm512_cmpeq_epi32_mask(own, undecided);
       next = _mm512_mask_blend_epi32(isund, colored, seen);
-    }
-    if (args.out32 != nullptr) {  // absent in bytes-only mode
-      _mm512_storeu_si512(reinterpret_cast<__m512i*>(args.out32 + i), next);
     }
     _mm_storeu_si128(reinterpret_cast<__m128i*>(args.out8 + i), _mm512_cvtepi32_epi8(next));
   }

@@ -17,7 +17,7 @@ struct MajorityTag {};
 struct VoterTag {};
 struct UndecidedTag {};
 
-/// One node of a fused kernel, scalar — the byte path of the scalar
+/// One node of a fused kernel, scalar — the byte-state scalar
 /// pipeline evaluated via the raw Philox word function (bitwise identical
 /// to both the tile pipeline and the vector lanes by construction). Used
 /// for the unaligned heads/tails of every SIMD fused kernel.
@@ -47,7 +47,6 @@ inline void fused_scalar_node(const FusedArgs& args, std::uint64_t i) {
     next = kernels::select(own == undecided, seen, colored);
   }
   args.out8[i] = static_cast<std::uint8_t>(next);
-  if (args.out32 != nullptr) args.out32[i] = next;  // absent in bytes-only mode
 }
 
 }  // namespace plurality::graph::simd

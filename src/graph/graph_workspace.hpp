@@ -9,20 +9,20 @@
 // across rounds AND across trials — run_graph_trials keeps one per OpenMP
 // thread, GraphSimulation owns one for its lifetime.
 //
-// Unlike StepWorkspace, ws.nodes is NOT pure scratch: it carries the node
-// states across rounds (the graph process is not exchangeable, so the
-// count vector is not a sufficient statistic). load_nodes() (re)initializes
-// it per trial; everything else is fully rewritten by each step, so
-// workspace reuse across trials or dynamics never leaks state. After the
-// first step at a given (n, k), a warm round performs zero heap
-// allocations (tests/alloc/test_allocation.cpp pins this).
+// Unlike StepWorkspace, the node-state array is NOT pure scratch: it
+// carries the node states across rounds (the graph process is not
+// exchangeable, so the count vector is not a sufficient statistic).
+// load_nodes() (re)initializes it per trial; everything else is fully
+// rewritten by each step, so workspace reuse across trials or dynamics
+// never leaks state. After the first step at a given (n, k), a warm round
+// performs zero heap allocations (tests/alloc/test_allocation.cpp pins
+// this).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/engine_mode.hpp"
-#include "support/check.hpp"
 #include "support/types.hpp"
 
 namespace plurality::graph {
@@ -57,29 +57,23 @@ struct StepTuning {
   std::uint32_t prefetch_distance = 16;
 };
 
+/// The node-state width rule: a trial whose state space fits one byte
+/// (k <= 256) stores its node states as bytes, a wider one as state_t.
+/// Width follows from k alone, so every graph trial holds exactly one
+/// double-buffered state array.
+constexpr bool byte_states(state_t k) { return k <= 256; }
+
 struct GraphStepWorkspace {
-  /// Current node states (persistent across rounds within one trial).
+  /// Current / next-round node states when k > 256 (double buffer, swapped
+  /// each step). Empty for byte-state trials.
   std::vector<state_t> nodes;
-  /// Next-round node states (double buffer; swapped into nodes each step).
   std::vector<state_t> scratch;
-  /// Byte-wide mirror of `nodes` (+ its double buffer), used when the
-  /// state space fits one byte (k <= 256): the kernels' random sample
-  /// loads then hit a 4x denser, cache-resident array. Same values —
-  /// results are unaffected. The sweep writes both widths, so a warm round
-  /// needs no refresh pass; `mirror_fresh` says whether nodes8 currently
-  /// matches nodes (load_nodes and corrupt_nodes clear it).
+  /// Current / next-round node states when k <= 256. +4 bytes of tail
+  /// slack: the batched SIMD gathers read them through 32-bit lane loads
+  /// (value masked to the low byte), so an access at id n-1 touches 3
+  /// bytes past the last state. Only indices < n are ever addressed.
   std::vector<std::uint8_t> nodes8;
   std::vector<std::uint8_t> scratch8;
-  bool mirror_fresh = false;
-  /// Bytes-only memory mode: the byte arrays above ARE the whole node
-  /// state and the u32 nodes/scratch arrays are never allocated, so a
-  /// trial's state is ~2n bytes instead of ~10n — the difference between
-  /// fitting and not fitting n = 10^9 in RAM. Requires k <= 256 and no
-  /// adversary (corrupt_nodes edits the u32 array). Results are bitwise
-  /// identical: with k <= 256 the kernels already sample from the byte
-  /// mirror, and the u32 writes they skip were redundant copies. Set
-  /// BEFORE prepare()/load_nodes(); flipping it mid-trial is undefined.
-  bool bytes_only = false;
   /// kGraphChunks x k per-chunk partial counts.
   std::vector<count_t> partials;
   /// k-entry reduction of partials (the published next configuration).
@@ -99,33 +93,59 @@ struct GraphStepWorkspace {
 
   /// Sizes every buffer for an (n, k) instance; allocation-free once the
   /// workspace has seen these sizes (buffers only ever grow in capacity).
+  /// Only the state array pair that k selects is sized.
   void prepare(count_t n, state_t k) {
-    PLURALITY_REQUIRE(!bytes_only || k <= 256,
-                      "GraphStepWorkspace: bytes-only mode needs k <= 256, got "
-                          << static_cast<unsigned>(k));
-    if (!bytes_only) {
-      nodes.resize(n);
-      scratch.resize(n);
-    }
-    if (k <= 256) {
-      // +4 bytes of tail slack: the batched SIMD gathers read the byte
-      // mirror through 32-bit lane loads (value masked to the low byte), so
-      // an access at id n-1 touches 3 bytes past the last state. Only
-      // indices < n are ever addressed.
+    if (byte_states(k)) {
       nodes8.resize(static_cast<std::size_t>(n) + 4);
       scratch8.resize(static_cast<std::size_t>(n) + 4);
+    } else {
+      nodes.resize(n);
+      scratch.resize(n);
     }
     partials.resize(static_cast<std::size_t>(kGraphChunks) * k);
     counts.resize(k);
   }
 
-  /// Node count the workspace currently holds states for — ws.nodes.size()
-  /// normally, the byte array (minus its 4 bytes of SIMD tail slack) in
-  /// bytes-only mode. The steppers' "call load_nodes first" checks go
-  /// through here so they work in either memory mode.
-  [[nodiscard]] std::size_t state_size() const {
-    if (!bytes_only) return nodes.size();
+  /// Node count the workspace currently holds k-state trial states for.
+  /// The steppers' "call load_nodes first" checks go through here.
+  [[nodiscard]] std::size_t state_size(state_t k) const {
+    if (!byte_states(k)) return nodes.size();
     return nodes8.size() >= 4 ? nodes8.size() - 4 : 0;
+  }
+
+  /// Calls f(current) with a pointer to the current states of a k-state
+  /// trial: std::uint8_t* or state_t*.
+  template <class F>
+  decltype(auto) with_states(state_t k, F&& f) {
+    return byte_states(k) ? f(nodes8.data()) : f(nodes.data());
+  }
+  template <class F>
+  decltype(auto) with_states(state_t k, F&& f) const {
+    return byte_states(k) ? f(nodes8.data()) : f(nodes.data());
+  }
+
+  /// Node v's current state in a k-state trial.
+  [[nodiscard]] state_t state(std::size_t v, state_t k) const {
+    return with_states(k, [v](const auto* s) { return static_cast<state_t>(s[v]); });
+  }
+
+  /// Copy of a k-state trial's current states, widened to state_t.
+  [[nodiscard]] std::vector<state_t> states(state_t k) const {
+    const std::size_t n = state_size(k);
+    return with_states(k, [n](const auto* s) { return std::vector<state_t>(s, s + n); });
+  }
+
+  /// One round's double-buffer step: calls sweep(current, next) on the
+  /// array pair k selects, then swaps so `next` becomes current.
+  template <class Sweep>
+  void advance(state_t k, Sweep&& sweep) {
+    if (byte_states(k)) {
+      sweep(static_cast<const std::uint8_t*>(nodes8.data()), scratch8.data());
+      nodes8.swap(scratch8);
+    } else {
+      sweep(static_cast<const state_t*>(nodes.data()), scratch.data());
+      nodes.swap(scratch);
+    }
   }
 
   /// Extra buffers used only when an adversary is wired in.

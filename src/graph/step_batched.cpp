@@ -71,10 +71,21 @@ auto fused_kernel(const simd::Ops* ops) -> void (*)(const simd::FusedArgs&) {
 template <class Rule, class Sampler, typename TNode>
 void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
                    rng::Philox4x32::Key key, std::uint64_t round, std::uint64_t n_pad,
-                   const Sampler& sampler, const TNode* nodes, state_t* out,
-                   TNode* mirror_out, state_t states, std::size_t lo, std::size_t hi,
-                   const simd::Ops* ops, const simd::FusedArgs* fused_proto,
-                   count_t* local, state_t k, const StepTuning& tuning) {
+                   const Sampler& sampler, const TNode* nodes, TNode* out,
+                   std::size_t lo, std::size_t hi, const simd::Ops* ops,
+                   const simd::FusedArgs* fused_proto, count_t* local, state_t k,
+                   const StepTuning& tuning) {
+  // Class counts of the published range [from, to).
+  const auto count = [&](std::size_t from, std::size_t to) {
+    if constexpr (std::is_same_v<TNode, std::uint8_t>) {
+      if (ops != nullptr && ops->count_u8 != nullptr && k <= 16) {
+        ops->count_u8(out, from, to, k, local);
+        return;
+      }
+    }
+    kb::count_tile(out, from, to - from, k, local);
+  };
+
   if constexpr (std::is_same_v<TNode, std::uint8_t>) {
     if (fused_proto != nullptr) {
       const auto fused = fused_kernel<Rule, Sampler, TNode>(ops);
@@ -82,13 +93,8 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
         simd::FusedArgs args = *fused_proto;
         args.base = lo;
         args.count = hi - lo;
-        fused(args);
-        // Fused kernels publish out8/out32; counting happens here.
-        if (ops->count_u8 != nullptr && k <= 16) {
-          ops->count_u8(mirror_out, lo, hi, k, local);
-        } else {
-          kb::count_tile(mirror_out, lo, hi - lo, k, local);
-        }
+        fused(args);  // publishes into out8; counting happens here
+        count(lo, hi);
         return;
       }
     }
@@ -140,18 +146,10 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
       fill(key, round, (static_cast<std::uint64_t>(arity) + t) * n_pad + base, nb,
            tie_base + static_cast<std::size_t>(t) * tile);
     }
-    // Pass 4: apply the rule; publish into scratch (+ mirror).
-    kb::apply_tile(rule, arity, nodes, out, mirror_out, states, base, nb, st, tile,
+    // Pass 4: apply the rule; publish into the double buffer.
+    kb::apply_tile(rule, nodes, out, k, base, nb, st, tile,
                    tie_words > 0 ? tie_base : words);
-    if constexpr (std::is_same_v<TNode, std::uint8_t>) {
-      if (ops != nullptr && ops->count_u8 != nullptr && k <= 16) {
-        ops->count_u8(mirror_out, base, base + nb, k, local);
-        continue;
-      }
-      kb::count_tile(mirror_out, base, nb, k, local);
-    } else {
-      kb::count_tile(out + base, 0, nb, k, local);
-    }
+    count(base, base + nb);
   }
 }
 
@@ -177,13 +175,10 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
   const std::uint64_t uniform_degree = regular ? graph.min_degree() : 0;
   const simd::Ops* ops = active_ops();
   count_t* partials = ws.partials.data();
-  // Bytes-only mode: no u32 scratch exists; apply_tile and the fused SIMD
-  // kernels skip the wide write on a null out pointer.
-  state_t* out = ws.bytes_only ? nullptr : ws.scratch.data();
 
-  const auto sweep = [&](auto nodes_ptr, auto* mirror_out) {
-    using TNode = std::remove_const_t<std::remove_pointer_t<decltype(nodes_ptr)>>;
-    // Fused prototype args (byte path only; completed per chunk).
+  ws.advance(k, [&](const auto* nodes, auto* out) {
+    using TNode = std::remove_const_t<std::remove_pointer_t<decltype(nodes)>>;
+    // Fused prototype args (byte states only; completed per chunk).
     simd::FusedArgs proto;
     const simd::FusedArgs* fused_proto = nullptr;
     if constexpr (std::is_same_v<TNode, std::uint8_t>) {
@@ -198,9 +193,8 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
         proto.n_pad = n_pad;
         proto.neighbors = complete ? nullptr : graph.neighbors();
         proto.bound = complete ? n : uniform_degree;
-        proto.nodes8 = nodes_ptr;
-        proto.out8 = mirror_out;
-        proto.out32 = out;
+        proto.nodes8 = nodes;
+        proto.out8 = out;
         proto.states = k;
         fused_proto = &proto;
       }
@@ -215,57 +209,22 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
       count_t* local = partials + static_cast<std::size_t>(chunk) * k;
       std::fill(local, local + k, count_t{0});
       if (lo >= hi) continue;
+      const auto run = [&](const auto& sampler) {
+        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes, out, lo,
+                      hi, ops, fused_proto, local, k, tuning);
+      };
       if (complete) {
-        const kb::BatchedCompleteSampler<TNode> sampler{nodes_ptr, n};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        run(kb::BatchedCompleteSampler<TNode>{nodes, n});
       } else if (implicit) {
-        const kb::BatchedImplicitSampler<TNode> sampler{nodes_ptr,
-                                                        graph.implicit_topology()};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        run(kb::BatchedImplicitSampler<TNode>{nodes, graph.implicit_topology()});
       } else if (regular) {
-        const kb::BatchedRegularSampler<TNode> sampler{nodes_ptr, graph.neighbors(),
-                                                       uniform_degree};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        run(kb::BatchedRegularSampler<TNode>{nodes, graph.neighbors(), uniform_degree});
       } else {
-        const kb::BatchedCsrSampler<TNode> sampler{nodes_ptr, graph.offsets(),
-                                                   graph.neighbors()};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        run(kb::BatchedCsrSampler<TNode>{nodes, graph.offsets(), graph.neighbors()});
       }
     }
-  };
+  });
 
-  if (k <= 256) {
-    // Byte-mirror path (same rationale as the strict engine: the random
-    // sample loads hit a 4x denser array; values identical either way).
-    std::uint8_t* mirror = ws.nodes8.data();
-    // Bytes-only mode: load_nodes writes nodes8 directly; there is no u32
-    // array to refresh from (and corrupt_nodes rejects the mode).
-    if (!ws.bytes_only && !ws.mirror_fresh) {
-      const state_t* nodes = ws.nodes.data();
-#if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-      for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
-        const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
-        const std::size_t hi = std::min(n, lo + chunk_size);
-        for (std::size_t i = lo; i < hi; ++i) {
-          mirror[i] = static_cast<std::uint8_t>(nodes[i]);
-        }
-      }
-    }
-    sweep(static_cast<const std::uint8_t*>(mirror), ws.scratch8.data());
-    ws.nodes8.swap(ws.scratch8);
-    ws.mirror_fresh = true;
-  } else {
-    state_t* no_mirror = nullptr;
-    sweep(static_cast<const state_t*>(ws.nodes.data()), no_mirror);
-  }
-
-  ws.nodes.swap(ws.scratch);  // no-op (both empty) in bytes-only mode
   std::fill(ws.counts.begin(), ws.counts.end(), count_t{0});
   for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
     const count_t* local = ws.partials.data() + static_cast<std::size_t>(chunk) * k;
@@ -293,9 +252,9 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
   const count_t n = graph.num_nodes();
   PLURALITY_REQUIRE(config.n() == n, "step_graph_batched: configuration has "
                                          << config.n() << " nodes but graph has " << n);
-  PLURALITY_REQUIRE(ws.state_size() == n,
+  PLURALITY_REQUIRE(ws.state_size(config.k()) == n,
                     "step_graph_batched: workspace holds "
-                        << ws.state_size() << " node states for " << n
+                        << ws.state_size(config.k()) << " node states for " << n
                         << " nodes — call load_nodes first");
   PLURALITY_REQUIRE(graph.is_complete() || graph.min_degree() >= 1,
                     "step_graph_batched: isolated vertices cannot sample");

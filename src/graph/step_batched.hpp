@@ -25,10 +25,11 @@ class AgentGraph;
 [[nodiscard]] bool batched_has_kernel(const Dynamics& dynamics);
 
 /// One synchronous batched round. Same externally observable contract as
-/// the strict step (reads/advances ws.nodes, publishes counts into config)
-/// but randomness is Philox keyed by streams.master_seed() with `round` as
-/// the counter domain — bitwise identical results for any thread count,
-/// chunking, or tile size (so `tuning` never changes results, only speed).
+/// the strict step (reads/advances the node states, publishes counts into
+/// config) but randomness is Philox keyed by streams.master_seed() with
+/// `round` as the counter domain — bitwise identical results for any
+/// thread count, chunking, or tile size (so `tuning` never changes
+/// results, only speed).
 /// Requires batched_has_kernel(dynamics).
 void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
                         Configuration& config, const rng::StreamFactory& streams,

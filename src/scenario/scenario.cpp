@@ -89,8 +89,7 @@ ExecutionPlan Scenario::plan() const {
   ExecutionPlan plan =
       plan_execution(options_.trials, driver, start_.n(), execution_thread_budget());
   if (use_graph_) {
-    plan.bytes_only = graph::graph_bytes_only_auto(start_.n(), start_.k(),
-                                                   adversary_ != nullptr);
+    plan.bytes_only = graph::byte_states(start_.k());
     if (options_.mode != EngineMode::Strict && graph::batched_has_kernel(*dynamics_)) {
       plan.simd = graph::batched_simd_isa();
     }

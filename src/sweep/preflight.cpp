@@ -4,7 +4,8 @@
 #include <filesystem>
 #include <string>
 
-#include "graph/graph_trials.hpp"
+#include "core/registry.hpp"
+#include "graph/graph_workspace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -71,17 +72,20 @@ std::uint64_t estimate_edges(const std::string& topology, std::uint64_t n) {
   return clique_edges;
 }
 
-/// Per-node state bytes of the graph step workspace, matching the memory
-/// mode run_graph_trials will actually pick (graph_workspace.hpp):
-/// bytes-only = the two u8 buffers; k <= 256 = u32 pair + u8 mirror pair;
-/// otherwise u32 pair only.
+/// Per-node state bytes of the graph step workspace: one double buffer at
+/// the width graph::byte_states picks — two u8 arrays when the dynamics'
+/// state space (colors plus auxiliary states such as "undecided") fits a
+/// byte, two u32 arrays otherwise. An unknown dynamics bills the wide case.
 std::uint64_t graph_state_bytes_per_node(const scenario::ScenarioSpec& spec) {
-  const bool has_adversary = spec.adversary != "none";
-  if (spec.k <= 256 &&
-      graph::graph_bytes_only_auto(spec.n, spec.k, has_adversary)) {
-    return 2;
+  try {
+    if (spec.k <= 256 &&
+        graph::byte_states(make_dynamics(spec.dynamics)->num_states(spec.k))) {
+      return 2;
+    }
+  } catch (...) {
+    // Unknown dynamics: validation will reject the spec; bill the wide case.
   }
-  return spec.k <= 256 ? 2 * 4 + 2 : 2 * 4;
+  return 2 * 4;
 }
 
 }  // namespace

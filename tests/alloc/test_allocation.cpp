@@ -133,7 +133,7 @@ TEST(ZeroAllocation, WorkspaceWarmsOnceAcrossConfigurations) {
 
 TEST(ZeroAllocation, GraphEngineStepsOnSparseTopology) {
   // The CSR graph engine: once the workspace has seen (n, k), a warm round
-  // touches no heap — node double buffer, byte mirror, partial counts, and
+  // touches no heap — node-state double buffer, partial counts, and
   // the published configuration are all preallocated. (The pre-refactor
   // stepper allocated 64 per-chunk vectors plus a Configuration per round;
   // keeping this suite green is what pins the regression away.)

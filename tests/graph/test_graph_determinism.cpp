@@ -14,12 +14,15 @@
 
 #include <cctype>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "core/adversary.hpp"
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
 #include "core/median.hpp"
+#include "core/observer.hpp"
 #include "core/registry.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
@@ -167,9 +170,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
-  // k > 256 disables the byte-wide sampling mirror, taking the state_t
-  // sweep path — pin that branch against the reference too (the k <= 256
-  // cases above never reach it).
+  // k > 256 stores node states as state_t instead of bytes — pin that
+  // width against the reference too (the k <= 256 cases above never reach
+  // it).
   const state_t k = 300;
   rng::Xoshiro256pp topo_gen(77);
   const Topology topo = random_regular(600, 6, topo_gen);
@@ -197,8 +200,8 @@ TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
 TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
   // One workspace carried across different dynamics and k values (the
   // run_graph_trials reuse pattern) must reproduce fresh-workspace runs:
-  // everything except ws.nodes is rewritten per round, and ws.nodes is
-  // rewritten per load_nodes.
+  // everything except the node states is rewritten per round, and the
+  // node states are rewritten per load_nodes.
   ThreeMajority majority;
   UndecidedState undecided;
   rng::Xoshiro256pp topo_gen(11);
@@ -228,7 +231,8 @@ TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
         step_graph(dyn, graph, shared_cfg, streams, round, shared);
         step_graph(dyn, graph, fresh_cfg, streams, round, fresh);
         ASSERT_EQ(shared_cfg, fresh_cfg) << dyn.name() << " round " << round;
-        ASSERT_EQ(shared.nodes, fresh.nodes) << dyn.name() << " round " << round;
+        ASSERT_EQ(shared.states(start.k()), fresh.states(start.k()))
+            << dyn.name() << " round " << round;
       }
     }
   }
@@ -252,6 +256,107 @@ TEST(GoldenGraphTrajectories, GraphTrialSummary) {
   EXPECT_EQ(s.plurality_wins, 24u);
   EXPECT_EQ(s.round_limit_hits, 0u);
   EXPECT_DOUBLE_EQ(s.rounds.mean(), 10.83333333333333);
+}
+
+// --- Golden per-trial outcomes across the node-state width rule: the
+//     byte-state path (k <= 256, gossip strict/batched and an adversary
+//     run) and the state_t path (k = 300). Literals recorded before the
+//     u32 mirror was removed; every trial's rounds, final plurality color
+//     and final plurality count must stay exactly these. --------------------
+
+struct TrialOutcome {
+  round_t rounds;
+  state_t winner;
+  count_t winner_count;
+  bool operator==(const TrialOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const TrialOutcome& t) {
+  return os << "{" << t.rounds << ", " << t.winner << ", " << t.winner_count << "}";
+}
+
+/// Records each trial's stop round and final plurality (one slot per
+/// trial, so parallel trials never share a slot).
+class OutcomeRecorder final : public RoundObserver {
+ public:
+  explicit OutcomeRecorder(std::uint64_t trials) : outcomes(trials) {}
+  void begin_trial(std::uint64_t, const Configuration&, state_t) override {}
+  void observe_round(std::uint64_t, round_t, const Configuration&, state_t) override {}
+  void end_trial(std::uint64_t trial, StopReason, round_t rounds,
+                 const Configuration& final, state_t num_colors) override {
+    const state_t winner = final.plurality(num_colors);
+    outcomes[trial] = {rounds, winner, final.at(winner)};
+  }
+  std::vector<TrialOutcome> outcomes;
+};
+
+std::vector<TrialOutcome> per_trial_outcomes(const Dynamics& dyn, const AgentGraph& graph,
+                                             const Configuration& start,
+                                             CommonTrialOptions options) {
+  OutcomeRecorder recorder(options.trials);
+  options.observer = &recorder;
+  (void)run_graph_trials(dyn, graph, start, options);
+  return recorder.outcomes;
+}
+
+TEST(GoldenGraphTrajectories, PerTrialGossipK8Batched) {
+  ThreeMajority dyn;
+  const AgentGraph graph = AgentGraph::implicit(ImplicitTopology::gossip(4096));
+  CommonTrialOptions options;
+  options.trials = 6;
+  options.seed = 161;
+  options.mode = EngineMode::Batched;
+  options.max_rounds = 10'000;
+  const std::vector<TrialOutcome> golden = {{38, 4, 4096}, {26, 0, 4096}, {26, 5, 4096},
+                                            {38, 3, 4096}, {30, 7, 4096}, {26, 0, 4096}};
+  EXPECT_EQ(per_trial_outcomes(dyn, graph, workloads::additive_bias(4096, 8, 6), options),
+            golden);
+}
+
+TEST(GoldenGraphTrajectories, PerTrialGossipK8Strict) {
+  ThreeMajority dyn;
+  const AgentGraph graph = AgentGraph::implicit(ImplicitTopology::gossip(4096));
+  CommonTrialOptions options;
+  options.trials = 6;
+  options.seed = 162;
+  options.max_rounds = 10'000;
+  const std::vector<TrialOutcome> golden = {{27, 0, 4096}, {28, 4, 4096}, {28, 7, 4096},
+                                            {27, 0, 4096}, {29, 3, 4096}, {24, 0, 4096}};
+  EXPECT_EQ(per_trial_outcomes(dyn, graph, workloads::additive_bias(4096, 8, 6), options),
+            golden);
+}
+
+TEST(GoldenGraphTrajectories, PerTrialRegular8K4Adversary) {
+  // corrupt_nodes edits the node array between rounds: its reservoir must
+  // read the same states in the same order and make the same draws.
+  ThreeMajority dyn;
+  rng::Xoshiro256pp topo_gen(163);
+  const AgentGraph graph = AgentGraph::from_topology(random_regular(400, 8, topo_gen));
+  const RandomCorruption adversary(1);
+  CommonTrialOptions options;
+  options.trials = 8;
+  options.seed = 163;
+  options.adversary = &adversary;
+  options.max_rounds = 26;  // the cap lands mid-corruption: final counts differ
+  const std::vector<TrialOutcome> golden = {{26, 3, 396}, {26, 2, 399}, {26, 1, 399},
+                                            {26, 2, 398}, {26, 3, 400}, {26, 3, 399},
+                                            {26, 3, 398}, {26, 0, 210}};
+  EXPECT_EQ(per_trial_outcomes(dyn, graph, workloads::additive_bias(400, 4, 4), options),
+            golden);
+}
+
+TEST(GoldenGraphTrajectories, PerTrialRegular8K300Strict) {
+  ThreeMajority dyn;
+  rng::Xoshiro256pp topo_gen(164);
+  const AgentGraph graph = AgentGraph::from_topology(random_regular(3000, 8, topo_gen));
+  CommonTrialOptions options;
+  options.trials = 4;
+  options.seed = 164;
+  options.max_rounds = 10'000;
+  const std::vector<TrialOutcome> golden = {{96, 139, 3000}, {124, 118, 3000},
+                                            {85, 38, 3000}, {96, 53, 3000}};
+  EXPECT_EQ(per_trial_outcomes(dyn, graph, workloads::balanced(3000, 300), options),
+            golden);
 }
 
 // --- 3. Thread-count independence. ----------------------------------------

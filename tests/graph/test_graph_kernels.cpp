@@ -97,7 +97,7 @@ void expect_node_matches_law_mode(const Dynamics& dynamics, const AgentGraph& gr
     GraphSimulation sim(dynamics, graph, start, seed_base + static_cast<std::uint64_t>(t),
                         /*shuffle_layout=*/false, mode);
     sim.step();
-    ++observed[sim.states()[node]];
+    ++observed[sim.state(node)];
   }
   const auto result = stats::chi_square_gof(observed, law);
   EXPECT_GT(result.p_value, 1e-6)

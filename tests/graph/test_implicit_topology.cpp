@@ -11,9 +11,6 @@
 //    team size.
 //  * Gossip: trajectory-equal to the implicit clique (it reuses the
 //    complete-graph kernels; the descriptor only changes bookkeeping).
-//  * Bytes-only memory mode: run_graph_trials summaries are bitwise-equal
-//    with the mode forced on vs off (the u32 arrays it drops were
-//    write-only).
 //  * Adoption-law battery: one-round chi-square pins for gossip and the
 //    implicit families in both modes, with the exact law computed from
 //    ImplicitTopology::neighbor itself (the arena is not consulted).
@@ -23,12 +20,10 @@
 #include <vector>
 
 #include "core/majority.hpp"
-#include "core/trials.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
-#include "graph/graph_trials.hpp"
 #include "graph/implicit_topology.hpp"
 #include "stats/chi_square.hpp"
 
@@ -161,30 +156,6 @@ TEST(ImplicitTopology, ThreadCountNeverChangesResults) {
 }
 #endif
 
-TEST(ImplicitTopology, BytesOnlyModeIsBitwiseInvisible) {
-  // run_graph_trials with the byte-array-only workspace forced on vs off:
-  // identical TrialSummary (the u32 arrays the mode drops were never read).
-  ThreeMajority majority;
-  const AgentGraph graph = AgentGraph::implicit(ImplicitTopology::gossip(600));
-  const Configuration start = workloads::additive_bias(600, 3, 180);
-  CommonTrialOptions options;
-  options.trials = 24;
-  options.seed = 77;
-  options.max_rounds = 100'000;
-  for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
-    options.mode = mode;
-    set_graph_bytes_only_override(0);
-    const TrialSummary off = run_graph_trials(majority, graph, start, options);
-    set_graph_bytes_only_override(1);
-    const TrialSummary on = run_graph_trials(majority, graph, start, options);
-    set_graph_bytes_only_override(-1);
-    EXPECT_EQ(on.round_samples, off.round_samples)
-        << (mode == EngineMode::Batched ? "batched" : "strict");
-    EXPECT_EQ(on.consensus_count, off.consensus_count);
-    EXPECT_EQ(on.plurality_wins, off.plurality_wins);
-  }
-}
-
 // --- adoption-law battery over the implicit samplers. ----------------------
 
 /// Exact next-state law of `node`, with the neighborhood multiset read off
@@ -225,7 +196,7 @@ void expect_implicit_matches_law(const Dynamics& dynamics, const ImplicitTopolog
       GraphSimulation sim(dynamics, graph, start, seed0 + static_cast<std::uint64_t>(t),
                           /*shuffle_layout=*/false, mode);
       sim.step();
-      ++observed[sim.states()[node]];
+      ++observed[sim.state(node)];
     }
     const auto result = stats::chi_square_gof(observed, law);
     EXPECT_GT(result.p_value, 1e-6)

@@ -35,7 +35,7 @@ TEST(ExecutionPlanEcho, SingleLargeTrialGivesTheRoundsTheTeam) {
   const ExecutionPlan plan = compiled.plan();
   EXPECT_EQ(plan.parallelism, Parallelism::Rounds);
   EXPECT_EQ(plan.threads, 4);
-  EXPECT_FALSE(plan.bytes_only);  // n < 2^26
+  EXPECT_TRUE(plan.bytes_only);  // k = 8 fits a byte
   EXPECT_EQ(plan.simd, graph::batched_simd_isa());
 
   const io::JsonValue doc =
@@ -43,7 +43,7 @@ TEST(ExecutionPlanEcho, SingleLargeTrialGivesTheRoundsTheTeam) {
   const io::JsonValue& echoed = doc.at("plan");
   EXPECT_EQ(echoed.at("parallelism").as_string(), "rounds");
   EXPECT_EQ(echoed.at("threads").as_uint(), 4u);
-  EXPECT_FALSE(echoed.at("bytes_only").as_bool());
+  EXPECT_TRUE(echoed.at("bytes_only").as_bool());
   EXPECT_EQ(echoed.at("simd").as_string(), plan.simd);
 }
 
@@ -87,12 +87,25 @@ TEST(ExecutionPlanEcho, InsideATeamTheBudgetIsOneThread) {
 
 #endif  // PLURALITY_HAVE_OPENMP
 
-TEST(ExecutionPlanEcho, BytesOnlyIsEchoedWhereItAutoEnables) {
-  // Compile only: n = 2^26 is where the bytes-only workspace turns on.
-  const Scenario compiled = Scenario::compile(ScenarioSpec::parse(
-      "dynamics=3-majority topology=gossip workload=bias:2c n=67108864 k=8 trials=1 "
-      "engine=batched"));
-  EXPECT_TRUE(compiled.plan().bytes_only);
+TEST(ExecutionPlanEcho, BytesOnlyFollowsTheStateCount) {
+  // Byte node states iff the graph driver runs and k <= 256, at any n.
+  const auto plan_of = [](const std::string& text) {
+    return Scenario::compile(ScenarioSpec::parse(text)).plan();
+  };
+  EXPECT_TRUE(plan_of("dynamics=3-majority topology=gossip workload=bias:2c n=1000 k=256 "
+                      "trials=1 engine=batched")
+                  .bytes_only);
+  EXPECT_FALSE(plan_of("dynamics=3-majority topology=gossip workload=bias:2c n=1000 "
+                       "k=300 trials=1 engine=batched")
+                   .bytes_only);
+  // undecided adds a state: 256 colors are 257 states.
+  EXPECT_FALSE(plan_of("dynamics=undecided topology=regular:8 workload=bias:2c n=1000 "
+                       "k=256 trials=1")
+                   .bytes_only);
+  // The count driver holds no node states.
+  EXPECT_FALSE(plan_of("dynamics=3-majority topology=clique workload=bias:2c n=1000 k=8 "
+                       "trials=1")
+                   .bytes_only);
 }
 
 }  // namespace

@@ -220,7 +220,11 @@ TEST(Orchestrator, CellFilesEchoTheExecutionPlan) {
       const std::string parallelism = plan.at("parallelism").as_string();
       EXPECT_TRUE(parallelism == "trials" || parallelism == "rounds") << parallelism;
       EXPECT_GE(plan.at("threads").as_uint(), 1u);
-      EXPECT_FALSE(plan.at("bytes_only").as_bool());
+      // Graph cells store their k <= 4 node states as bytes; count cells
+      // have no node states.
+      EXPECT_EQ(plan.at("bytes_only").as_bool(),
+                cell.requested.resolved_backend() == "graph")
+          << cell.id;
       EXPECT_FALSE(plan.at("simd").as_string().empty());
       ASSERT_TRUE(cell.plan.has_value());
       EXPECT_EQ(parallelism, parallelism_name(cell.plan->parallelism));

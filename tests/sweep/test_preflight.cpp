@@ -82,6 +82,26 @@ TEST(Preflight, CoarseOrderingAcrossBackends) {
   EXPECT_LE(estimate_cell_memory_bytes(agent), estimate_cell_memory_bytes(graph));
 }
 
+TEST(Preflight, ByteStateCellsAreBilledTwoBytesPerNode) {
+  // k <= 256 graph cells hold one byte double buffer: ~2n state bytes at
+  // any n, where the old u32 + byte-mirror layout billed 10n.
+  const std::uint64_t n = std::uint64_t{1} << 24;
+  const std::uint64_t gossip = estimate_cell_memory_bytes(
+      spec_of("topology=gossip n=16777216 k=8 trials=1 engine=batched"));
+  EXPECT_GE(gossip, 2 * n);
+  EXPECT_LT(gossip, 3 * n);
+  // Above 256 states the double buffer is two u32 arrays: 8n.
+  const std::uint64_t wide = estimate_cell_memory_bytes(
+      spec_of("topology=gossip n=16777216 k=300 trials=1 engine=batched"));
+  EXPECT_GE(wide, 8 * n);
+  EXPECT_LT(wide, 9 * n);
+  // The undecided state counts: 256 colors are 257 states, billed wide.
+  const std::uint64_t undecided = estimate_cell_memory_bytes(
+      spec_of("dynamics=undecided topology=gossip n=16777216 k=256 trials=1 "
+              "engine=batched"));
+  EXPECT_GE(undecided, 8 * n);
+}
+
 TEST(Preflight, FormatBytesIsHumanReadable) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(std::uint64_t{3} << 30), "3.0 GiB");
