@@ -1,7 +1,8 @@
-// E11 — ablation: count-based vs agent-level stepping (google-benchmark).
+// E11 — ablation: count-based vs per-agent stepping (google-benchmark).
 //
 // The count-based backend samples the exact one-round transition in Theta(k)
-// work (a handful of binomial draws); the agent backend pays Theta(n*h). The
+// work (a handful of binomial draws); per-agent stepping (the graph engine
+// on the implicit clique) pays Theta(n*h). The
 // crossover justifies DESIGN.md's choice of count-based as the default and
 // quantifies what the exact-law trick buys (10^4-10^6x at large n).
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include "core/trials.hpp"
 #include "core/undecided.hpp"
 #include "core/workloads.hpp"
+#include "graph/agent_graph.hpp"
 #include "scenario/scenario.hpp"
 
 namespace plurality {
@@ -39,7 +41,9 @@ void BM_AgentStep(benchmark::State& state) {
   const auto n = static_cast<count_t>(state.range(0));
   const auto k = static_cast<state_t>(state.range(1));
   ThreeMajority dynamics;
-  AgentSimulation sim(dynamics, workloads::additive_bias(n, k, n / 10), 1);
+  const graph::AgentGraph clique = graph::AgentGraph::complete(n);
+  graph::GraphSimulation sim(dynamics, clique, workloads::additive_bias(n, k, n / 10), 1,
+                             /*shuffle_layout=*/false);
   for (auto _ : state) {
     sim.step();
     benchmark::DoNotOptimize(sim.configuration().n());

@@ -306,8 +306,8 @@ int run(int argc, const char* const* argv) {
   }
 
   // Count-based yardstick: the same clique workload through the exact-law
-  // stepper — the reason the clique rows exist is to show when NOT to use
-  // an agent backend at all.
+  // stepper — the reason the clique rows exist is to show when NOT to
+  // step every agent at all.
   double count_based_rps = 0.0;
   {
     StepWorkspace ws;

@@ -13,6 +13,7 @@
 
 #include "common/experiment.hpp"
 #include "core/majority.hpp"
+#include "core/observer.hpp"
 #include "core/phases.hpp"
 #include "core/runner.hpp"
 #include "core/workloads.hpp"
@@ -56,12 +57,13 @@ int run(int argc, const char* const* argv) {
   for (std::uint64_t t = 0; t < trials; ++t) {
     rng::Xoshiro256pp gen = streams.stream(t);
     RunOptions options;
-    options.record_trajectory = true;
     options.max_rounds = exp.max_rounds();
+    TrajectoryObserver trajectory;
+    options.observer = &trajectory;
     const RunResult result =
         run_dynamics(dynamics, workloads::additive_bias(n, k, s), options, gen);
     if (result.reason != StopReason::ColorConsensus) continue;
-    report.merge(analyze_phases(result.trajectory, n, polylog));
+    report.merge(analyze_phases(trajectory.points(), n, polylog));
   }
 
   io::Table table({"phase", "rounds spent (mean)", "per-round statistic",

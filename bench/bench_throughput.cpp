@@ -1,18 +1,23 @@
 // PERF1 — stepping-engine throughput, with machine-readable output.
 //
-// Measures rounds/sec for both backends over an (n, k, dynamics) grid, plus
+// Measures rounds/sec for both backends (count-based, and the graph engine
+// stepping every agent on the implicit clique) over an (n, k, dynamics)
+// grid, plus
 // the sparse-workspace speedup over the frozen dense reference stepper on
 // the workload the PR-1 refactor targets: stateful dynamics at large k with
 // only a handful of occupied own-state classes.
 //
-// Metric naming (schema_version 2): a count-based round updates k CLASS
+// Metric naming (schema_version 3): a count-based round updates k CLASS
 // counters, not n nodes — reporting node_updates_per_sec for it overstated
-// the backend by orders of magnitude. Count rows now report rounds_per_sec
-// plus `equivalent_node_updates_per_sec` (the agent-backend work one exact
-// count round replaces: rounds/sec x n); only agent rows report literal
-// `node_updates_per_sec`. The count grid also carries the generator-engine
-// A/B: xoshiro (sequential) vs rng::PhiloxStream (counter-based
-// block-generated uniforms feeding the same multinomial kernels).
+// the backend by orders of magnitude. Count rows report rounds_per_sec
+// plus `equivalent_node_updates_per_sec` (the per-agent work one exact
+// count round replaces: rounds/sec x n); only graph rows report literal
+// `node_updates_per_sec`. (Version 3: the per-agent rows are backend
+// "graph", the strict graph engine on AgentGraph::complete; version 2 had
+// them as backend "agent", a clique stepper bitwise equal to it.) The
+// count grid also carries the generator-engine A/B: xoshiro (sequential)
+// vs rng::PhiloxStream (counter-based block-generated uniforms feeding the
+// same multinomial kernels).
 //
 // Timing discipline and the JSON header come from bench/harness.hpp. The
 // shared --threads flag pins the OpenMP team size for reproducible
@@ -24,6 +29,7 @@
 #include "core/backend.hpp"
 #include "core/majority.hpp"
 #include "core/undecided.hpp"
+#include "graph/agent_graph.hpp"
 #include "harness.hpp"
 #include "io/json.hpp"
 #include "rng/philox.hpp"
@@ -69,7 +75,7 @@ struct GridCell {
   count_t n = 0;
   state_t k = 0;
   double rounds_per_sec = 0.0;
-  bool literal_node_updates = false;  // agent rows only
+  bool literal_node_updates = false;  // graph rows only
 };
 
 /// rounds/sec of one count-backend cell under generator `gen`.
@@ -130,30 +136,34 @@ int run(int argc, const char* const* argv) {
     });
   }
 
-  // --- Agent backend grid: Θ(n·h) per round, n bounded by the budget. ---
+  // --- Per-agent grid: the graph engine on the implicit clique, Θ(n·h)
+  //     per round, n bounded by the budget. ---
   {
     const std::vector<count_t> ns = exp.quick() ? std::vector<count_t>{100'000}
                                                 : std::vector<count_t>{100'000, 1'000'000};
     const std::vector<state_t> ks = std::vector<state_t>{8, 64};
     for_grid(ns, ks, [&](count_t n, state_t k) {
+      const graph::AgentGraph clique = graph::AgentGraph::complete(n);
       {
-        AgentSimulation sim(majority, dense_start(n, k), 3);
+        graph::GraphSimulation sim(majority, clique, dense_start(n, k), 3,
+                                   /*shuffle_layout=*/false);
         const double rps = measure_rounds_per_sec(
             budget, kRearmPeriod, kWarmupRounds, [] {}, [&] { sim.step(); });
-        cells.push_back({"agent", majority.name(), n, k, rps, true});
+        cells.push_back({"graph", majority.name(), n, k, rps, true});
       }
       {
-        AgentSimulation sim(undecided,
-                            UndecidedState::extend_with_undecided(dense_start(n, k)), 4);
+        graph::GraphSimulation sim(undecided, clique,
+                                   UndecidedState::extend_with_undecided(dense_start(n, k)),
+                                   4, /*shuffle_layout=*/false);
         const double rps = measure_rounds_per_sec(
             budget, kRearmPeriod, kWarmupRounds, [] {}, [&] { sim.step(); });
-        cells.push_back({"agent", undecided.name(), n, k, rps, true});
+        cells.push_back({"graph", undecided.name(), n, k, rps, true});
       }
     });
   }
 
   io::Table grid_table(
-      {"backend", "dynamics", "n", "k", "rounds/sec", "node-upd/s (agent: literal, count: equiv)"});
+      {"backend", "dynamics", "n", "k", "rounds/sec", "node-upd/s (graph: literal, count: equiv)"});
   for (const GridCell& cell : cells) {
     grid_table.row()
         .cell(cell.backend)
@@ -206,8 +216,8 @@ int run(int argc, const char* const* argv) {
   }
   exp.emit(speedup_table, "speedup");
 
-  // --- JSON document (schema_version 2: see header comment). ---
-  io::JsonValue doc = make_bench_doc("throughput", 2, exp);
+  // --- JSON document (schema_version 3: see header comment). ---
+  io::JsonValue doc = make_bench_doc("throughput", 3, exp);
   doc.set("time_budget_seconds", budget);
   doc.set("rearm_period_rounds", kRearmPeriod);
 
@@ -222,7 +232,7 @@ int run(int argc, const char* const* argv) {
     if (cell.literal_node_updates) {
       row.set("node_updates_per_sec", cell.rounds_per_sec * static_cast<double>(cell.n));
     } else {
-      // One exact count round replaces n agent node updates; the counter
+      // One exact count round replaces n per-agent node updates; the counter
       // the backend actually touches is k classes.
       row.set("equivalent_node_updates_per_sec",
               cell.rounds_per_sec * static_cast<double>(cell.n));

@@ -10,8 +10,8 @@
 // race ahead using its one extra memory state. The whole sweep is one
 // ScenarioSpec with the `dynamics` field iterated over the registry —
 // registry metadata (describe_dynamics) fills the samples/memory columns,
-// and backend=auto drops large-h protocols onto the agent backend by
-// itself.
+// and backend=auto drops large-h protocols onto the graph engine's
+// per-agent clique by itself.
 #include <iostream>
 
 #include "core/registry.hpp"
@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
   for (const char* name : zoo) {
     const DynamicsInfo info = describe_dynamics(name);
     spec.dynamics = name;
-    // Large-h exact laws are gated; backend=auto falls back to the agent
-    // sampler — cap its Θ(n·h) trials.
-    spec.trials = spec.resolved_backend() == "agent" ? std::min<std::uint64_t>(trials, 10)
+    // Large-h exact laws are gated; backend=auto falls back to per-agent
+    // stepping on the graph clique — cap its Θ(n·h) trials.
+    spec.trials = spec.resolved_backend() == "graph" ? std::min<std::uint64_t>(trials, 10)
                                                      : trials;
     const scenario::ScenarioResult result = scenario::run_scenario(spec);
     const TrialSummary& summary = result.summary;

@@ -14,8 +14,8 @@
 #include <iostream>
 
 #include "core/adversary.hpp"
+#include "core/observer.hpp"
 #include "core/registry.hpp"
-#include "core/runner.hpp"
 #include "core/workloads.hpp"
 #include "graph/topology_registry.hpp"
 #include "io/csv.hpp"
@@ -58,36 +58,45 @@ void print_catalog() {
   print_grammar("topologies", graph::topology_names());
   print_grammar("adversaries", adversary_names());
   std::cout << "stops: consensus | m-plurality:<M> | any-reaches:<T>\n"
-            << "backends: auto | count | agent | graph    engines: strict | batched\n";
+            << "backends: auto | count | graph    engines: strict | batched\n"
+            << "(auto: count on the clique when the dynamics has an exact law, graph\n"
+            << " otherwise — on the clique that steps every agent)\n";
 }
 
-/// Runs the --trajectory mode: one run, round-by-round table (count path;
-/// the compiled scenario supplies the dynamics/start/backend resolution).
+/// What a stopped trial's reason means, for the --trajectory footer.
+std::string describe_stop(StopReason reason, bool plurality_won) {
+  switch (reason) {
+    case StopReason::ColorConsensus:
+      return plurality_won ? "consensus on the initial plurality"
+                           : "consensus on a NON-plurality color";
+    case StopReason::NonColorAbsorbed:
+      return "absorbed in a non-color state";
+    case StopReason::PredicateMet:
+      return "the stop condition was met";
+    case StopReason::RoundLimit:
+    case StopReason::Cancelled:
+      break;
+  }
+  return "no consensus within the round cap";
+}
+
+/// Runs the --trajectory mode: the compiled one-trial scenario on whichever
+/// driver it resolved to, its rounds recorded by a TrajectoryObserver.
 int run_trajectory(const scenario::Scenario& compiled, const std::string& csv_path) {
-  PLURALITY_REQUIRE(!compiled.uses_graph_driver(),
-                    "--trajectory is a count-path feature; drop it or set "
-                    "topology=clique");
-  const auto& spec = compiled.spec();
-  rng::Xoshiro256pp gen(spec.seed);
-  RunOptions options;
-  options.max_rounds = spec.max_rounds;
-  options.record_trajectory = true;
-  options.backend = spec.backend == "agent" ? Backend::Agent : Backend::CountBased;
-  options.engine = compiled.options().mode;
-  options.adversary = compiled.adversary();
-  options.stop_predicate = compiled.options().stop_predicate;
-  const RunResult result = run_dynamics(compiled.dynamics(), compiled.start(), options, gen);
+  TrajectoryObserver observer;
+  (void)compiled.run(&observer);
+  const std::vector<TrajectoryPoint>& trajectory = observer.points();
 
   io::Table table({"round", "plurality", "count", "bias", "minority"});
   io::CsvWriter csv =
       csv_path.empty() ? io::CsvWriter() : io::CsvWriter(csv_path, table.headers());
-  const std::size_t stride = std::max<std::size_t>(1, result.trajectory.size() / 32);
-  for (std::size_t i = 0; i < result.trajectory.size(); ++i) {
-    const auto& pt = result.trajectory[i];
+  const std::size_t stride = std::max<std::size_t>(1, trajectory.size() / 32);
+  for (std::size_t i = 0; i < trajectory.size(); ++i) {
+    const auto& pt = trajectory[i];
     csv.add_row({std::to_string(pt.round), std::to_string(pt.plurality_color),
                  std::to_string(pt.plurality_count), std::to_string(pt.bias),
                  std::to_string(pt.minority_mass)});
-    if (i % stride != 0 && i + 1 != result.trajectory.size()) continue;
+    if (i % stride != 0 && i + 1 != trajectory.size()) continue;
     table.row()
         .cell(pt.round)
         .cell(static_cast<std::uint64_t>(pt.plurality_color))
@@ -96,11 +105,8 @@ int run_trajectory(const scenario::Scenario& compiled, const std::string& csv_pa
         .cell(pt.minority_mass);
   }
   table.print(std::cout);
-  std::cout << "\nstopped after " << result.rounds << " rounds: "
-            << (result.reason == StopReason::ColorConsensus
-                    ? (result.plurality_won ? "consensus on the initial plurality"
-                                            : "consensus on a NON-plurality color")
-                    : "no consensus within the round cap")
+  std::cout << "\nstopped after " << observer.rounds()
+            << " rounds: " << describe_stop(observer.reason(), observer.plurality_won())
             << "\n";
   return 0;
 }
@@ -118,7 +124,9 @@ int main(int argc, char** argv) {
   cli.add_string("workload", defaults.workload, "initial configuration spec (see --list)");
   cli.add_string("topology", defaults.topology, "topology spec (see --list)");
   cli.add_string("adversary", defaults.adversary, "adversary spec (see --list)");
-  cli.add_string("backend", defaults.backend, "auto | count | agent | graph");
+  cli.add_string("backend", defaults.backend,
+                 "auto | count | graph (auto: count on the clique with an exact law, "
+                 "else graph)");
   cli.add_string("engine", defaults.engine, "strict | batched");
   cli.add_string("stop", defaults.stop, "consensus | m-plurality:<M> | any-reaches:<T>");
   cli.add_uint("n", defaults.n, "number of nodes");
@@ -126,7 +134,7 @@ int main(int argc, char** argv) {
   cli.add_uint("trials", defaults.trials, "independent trials");
   cli.add_uint("seed", defaults.seed, "master seed");
   cli.add_uint("max-rounds", defaults.max_rounds, "round cap per trial");
-  cli.add_flag("trajectory", "print one trial's round-by-round trajectory");
+  cli.add_flag("trajectory", "run one trial and print its round-by-round trajectory");
   cli.add_string("csv", "", "write the trajectory to this CSV path");
   cli.add_string("out", "", "write the ScenarioResult JSON to this path");
   cli.add_flag("force", "allow --out to overwrite an existing result file");
@@ -162,6 +170,7 @@ int main(int argc, char** argv) {
   if (cli.provided("trials")) spec.trials = cli.get_uint("trials");
   if (cli.provided("seed")) spec.seed = cli.get_uint("seed");
   if (cli.provided("max-rounds")) spec.max_rounds = cli.get_uint("max-rounds");
+  if (cli.flag("trajectory")) spec.trials = 1;
 
   const scenario::Scenario compiled = scenario::Scenario::compile(spec);
   const auto& resolved = compiled.spec();

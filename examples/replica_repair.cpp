@@ -10,6 +10,7 @@
 
 #include "core/adversary.hpp"
 #include "core/majority.hpp"
+#include "core/observer.hpp"
 #include "core/runner.hpp"
 #include "core/workloads.hpp"
 #include "io/table.hpp"
@@ -53,15 +54,17 @@ int main(int argc, char** argv) {
   RunOptions options;
   options.adversary = &adversary;
   options.max_rounds = 100'000;
-  options.record_trajectory = true;
   options.stop_predicate = stop_at_m_plurality(m, 0);
+  TrajectoryObserver recorder;
+  options.observer = &recorder;
   const RunResult repair = run_dynamics(dynamics, start, options, gen);
 
   io::Table trajectory({"round", "correct replicas", "corrupted replicas"});
-  const std::size_t stride = std::max<std::size_t>(1, repair.trajectory.size() / 16);
-  for (std::size_t i = 0; i < repair.trajectory.size(); ++i) {
-    if (i % stride != 0 && i + 1 != repair.trajectory.size()) continue;
-    const auto& pt = repair.trajectory[i];
+  const std::vector<TrajectoryPoint>& points = recorder.points();
+  const std::size_t stride = std::max<std::size_t>(1, points.size() / 16);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (i % stride != 0 && i + 1 != points.size()) continue;
+    const auto& pt = points[i];
     trajectory.row().cell(pt.round).cell(pt.plurality_count).cell(pt.minority_mass);
   }
   trajectory.print(std::cout);

@@ -1,6 +1,6 @@
-// The two simulation backends.
+// The count-based stepper.
 //
-// Count-based: because node updates are i.i.d. given the configuration
+// Because node updates are i.i.d. given the configuration
 // (or i.i.d. within each own-state class for stateful dynamics), one
 // multinomial draw per round over the adoption law samples the EXACT
 // one-round transition of the Markov chain — Θ(k) work per round instead of
@@ -16,28 +16,20 @@
 // bench_throughput can verify, bitwise and in rounds/sec, what the
 // workspace path buys — the two must consume identical RNG streams.
 //
-// Agent-based: the literal protocol — an explicit node array, h uniform
-// samples per node per round, OpenMP-parallel over fixed node chunks with
-// one independent RNG stream per (round, chunk) so results are bitwise
-// reproducible regardless of thread count. It exists (a) to cross-validate
-// the count-based backend (they must agree in distribution — property-
-// tested via chi-square), (b) for dynamics whose exact law is unavailable
-// (large h-plurality), and (c) as the basis of the sparse-graph extension.
+// The literal per-agent protocol (an explicit node array, h uniform
+// samples per node per round) is the graph engine on the implicit clique,
+// graph::AgentGraph::complete: it cross-validates this stepper in
+// distribution (chi-square, tests/core/test_backend.cpp) and runs the
+// dynamics whose exact law is unavailable (large h-plurality).
 #pragma once
-
-#include <vector>
 
 #include "core/configuration.hpp"
 #include "core/dynamics.hpp"
 #include "core/step_workspace.hpp"
 #include "rng/philox.hpp"
-#include "rng/stream.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace plurality {
-
-/// Which stepping implementation a runner should use.
-enum class Backend { CountBased, Agent };
 
 /// Advances one synchronous round in place using the exact adoption law.
 /// Requires dynamics.has_exact_law(config.k()). Zero heap allocations once
@@ -64,37 +56,5 @@ void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen)
 /// bench_throughput to report the workspace path's speedup.
 void step_count_based_reference(const Dynamics& dynamics, Configuration& config,
                                 rng::Xoshiro256pp& gen);
-
-/// Explicit per-node simulation of the same process.
-class AgentSimulation {
- public:
-  /// Lays out `start.at(j)` nodes in state j. `seed` derives the per-round
-  /// per-chunk sampling streams.
-  AgentSimulation(const Dynamics& dynamics, const Configuration& start,
-                  std::uint64_t seed);
-
-  /// One synchronous round: every node samples sample_arity() nodes from
-  /// the whole population (with repetition, including itself) and applies
-  /// the rule. Zero heap allocations (all buffers live on the simulation).
-  void step();
-
-  [[nodiscard]] const Configuration& configuration() const { return config_; }
-  [[nodiscard]] round_t round() const { return round_; }
-  [[nodiscard]] const std::vector<state_t>& states() const { return nodes_; }
-
-  /// Number of fixed parallel chunks (determinism contract: results depend
-  /// on the seed but never on the number of threads).
-  static constexpr unsigned kChunks = 64;
-
- private:
-  const Dynamics& dynamics_;
-  Configuration config_;
-  std::vector<state_t> nodes_;
-  std::vector<state_t> scratch_;
-  std::vector<count_t> partials_;       // kChunks x k per-chunk counts
-  std::vector<count_t> counts_scratch_; // k, reduction of partials_
-  rng::StreamFactory streams_;
-  round_t round_ = 0;
-};
 
 }  // namespace plurality

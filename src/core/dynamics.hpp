@@ -8,8 +8,9 @@
 //
 // Every dynamics exposes the same two faces:
 //
-//  1. `apply_rule` — the node-level rule, used by the agent backend (and the
-//     graph extension, where samples come from a node's neighborhood).
+//  1. `apply_rule` — the node-level rule, used by the graph engine (on the
+//     implicit clique, and on sparse graphs where samples come from a
+//     node's neighborhood).
 //  2. the *adoption law* — the exact distribution of one node's next state
 //     given the current configuration. On the clique, node updates are
 //     i.i.d. given the configuration (or i.i.d. within each own-state
@@ -52,7 +53,7 @@ class Dynamics {
 
   /// True if the adoption law can be evaluated exactly at this state count.
   /// (The h-plurality law costs C(h+k-1, h) terms; beyond a budget we fall
-  /// back to the agent backend.) Laws are exact whenever offered.
+  /// back to per-agent stepping on the graph engine's clique.) Laws are exact whenever offered.
   [[nodiscard]] virtual bool has_exact_law(state_t states) const {
     (void)states;
     return true;

@@ -26,7 +26,7 @@ ExecutionPlan plan_execution(std::uint64_t trials, TrialDriver driver, std::uint
                                       << threads);
   ExecutionPlan plan;
   plan.threads = threads;
-  const bool parallel_rounds = driver != TrialDriver::Count && nodes >= kRoundsMinNodes;
+  const bool parallel_rounds = driver == TrialDriver::Graph && nodes >= kRoundsMinNodes;
   const bool team_to_spare = 2 * trials <= static_cast<std::uint64_t>(threads);
   plan.parallelism =
       parallel_rounds && team_to_spare ? Parallelism::Rounds : Parallelism::Trials;

@@ -2,9 +2,8 @@
 // use the OpenMP team.
 //
 // Two shapes exist, and neither can change a result: every trial draws
-// from its own hash-derived stream, graph rounds reduce fixed
-// kGraphChunks partials and agent rounds fixed kChunks partials, so a
-// TrialSummary is bitwise the same under either shape at any thread count
+// from its own hash-derived stream and graph rounds reduce fixed
+// kGraphChunks partials, so a TrialSummary is bitwise the same under either shape at any thread count
 // (tests/core/test_execution_plan.cpp pins this per driver and engine).
 //
 //  * Trials — an outer team runs one trial per thread. Each round's own
@@ -34,9 +33,8 @@ enum class Parallelism : std::uint8_t { Trials, Rounds };
 [[nodiscard]] const char* parallelism_name(Parallelism parallelism);
 
 /// The trial driver a run dispatches to. It decides whether a round has a
-/// parallel loop at all: the agent and graph rounds do, the count round
-/// does not.
-enum class TrialDriver : std::uint8_t { Count, Agent, Graph };
+/// parallel loop at all: the graph round does, the count round does not.
+enum class TrialDriver : std::uint8_t { Count, Graph };
 
 /// What the planner resolved, plus the memory mode and kernel path the
 /// graph layer resolves for the same run. Results echo all of it (the

@@ -4,6 +4,23 @@
 
 namespace plurality {
 
+namespace {
+
+TrajectoryPoint trajectory_point(const Configuration& config, state_t num_colors,
+                                 round_t round) {
+  const state_t plurality = config.plurality(num_colors);
+  return TrajectoryPoint{
+      .round = round,
+      .plurality_color = plurality,
+      .plurality_count = config.at(plurality),
+      .runner_up_count = num_colors >= 2 ? config.runner_up_count(num_colors) : 0,
+      .bias = config.bias(num_colors),
+      .minority_mass = config.minority_mass(num_colors),
+  };
+}
+
+}  // namespace
+
 ProbeObserver::ProbeObserver(const ProbeOptions& options)
     : options_(options), m_sketch_(options.sketch_capacity) {
   PLURALITY_REQUIRE(options.trials > 0, "ProbeObserver: need at least one trial");
@@ -104,6 +121,27 @@ std::span<const ProbeRow> ProbeObserver::trajectory(std::uint64_t trial) const {
 double ProbeObserver::time_to_m(std::uint64_t trial) const {
   PLURALITY_REQUIRE(trial < options_.trials, "ProbeObserver::time_to_m: trial out of range");
   return time_to_m_[trial];
+}
+
+void TrajectoryObserver::begin_trial(std::uint64_t trial, const Configuration& start,
+                                     state_t num_colors) {
+  if (trial != trial_) return;
+  points_.assign(1, trajectory_point(start, num_colors, 0));
+  initial_plurality_ = start.plurality(num_colors);
+}
+
+void TrajectoryObserver::observe_round(std::uint64_t trial, round_t round,
+                                       const Configuration& config, state_t num_colors) {
+  if (trial == trial_) points_.push_back(trajectory_point(config, num_colors, round));
+}
+
+void TrajectoryObserver::end_trial(std::uint64_t trial, StopReason reason, round_t rounds,
+                                   const Configuration& final, state_t num_colors) {
+  if (trial != trial_) return;
+  reason_ = reason;
+  rounds_ = rounds;
+  plurality_won_ = reason == StopReason::ColorConsensus &&
+                   final.plurality(num_colors) == initial_plurality_;
 }
 
 }  // namespace plurality

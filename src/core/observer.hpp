@@ -2,18 +2,16 @@
 //
 // The paper's results are curves, not single cells: consensus time vs k,
 // bias decay round by round, the monochromatic-distance trajectory of [4],
-// Corollary 4's time-to-m-plurality. Before this layer the only per-round
-// window was RunOptions::record_trajectory — count-path only, allocating,
-// and invisible to run_trials. A RoundObserver threads through all three
-// drivers (count / agent via run_dynamics, graph via run_graph_trials) and
-// sees every materialized round of every trial.
+// Corollary 4's time-to-m-plurality. A RoundObserver threads through both
+// drivers (count via run_dynamics, graph via run_graph_trials) and sees
+// every materialized round of every trial.
 //
 // The contract that keeps observation free of side effects:
 //
 //  * Observers READ the already-materialized configuration. They draw no
 //    RNG and never touch the trial's generator, so observer-on and
 //    observer-off runs produce bitwise-identical trial streams on every
-//    backend × engine × adversary cell (tests/core/test_observer.cpp).
+//    driver × engine × adversary cell (tests/core/test_observer.cpp).
 //  * Observers allocate nothing per round: all buffers are preallocated
 //    from the trial count at construction (tests/alloc pins warm observed
 //    rounds at zero heap traffic).
@@ -150,6 +148,39 @@ class ProbeObserver final : public RoundObserver {
   stats::OnlineStats final_fraction_stats_;
   stats::OnlineStats final_support_stats_;
   stats::OnlineStats final_mono_stats_;
+};
+
+/// Records one trial's trajectory, one TrajectoryPoint per round from
+/// round 0, on whichever driver runs it (run_dynamics via
+/// RunOptions::observer, plurality_sim --trajectory). Callbacks for other
+/// trials are ignored. Rows are appended as they arrive, so observed rounds
+/// allocate: meant for single-trial inspection, not for allocation-pinned
+/// runs.
+class TrajectoryObserver final : public RoundObserver {
+ public:
+  explicit TrajectoryObserver(std::uint64_t trial = 0) : trial_(trial) {}
+
+  void begin_trial(std::uint64_t trial, const Configuration& start,
+                   state_t num_colors) override;
+  void observe_round(std::uint64_t trial, round_t round, const Configuration& config,
+                     state_t num_colors) override;
+  void end_trial(std::uint64_t trial, StopReason reason, round_t rounds,
+                 const Configuration& final, state_t num_colors) override;
+
+  /// Round 0 and every observed round of the recorded trial.
+  [[nodiscard]] const std::vector<TrajectoryPoint>& points() const { return points_; }
+  [[nodiscard]] StopReason reason() const { return reason_; }
+  [[nodiscard]] round_t rounds() const { return rounds_; }
+  /// Consensus on the initial plurality color.
+  [[nodiscard]] bool plurality_won() const { return plurality_won_; }
+
+ private:
+  std::uint64_t trial_;
+  std::vector<TrajectoryPoint> points_;
+  state_t initial_plurality_ = 0;
+  StopReason reason_ = StopReason::RoundLimit;
+  round_t rounds_ = 0;
+  bool plurality_won_ = false;
 };
 
 }  // namespace plurality

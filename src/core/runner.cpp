@@ -7,22 +7,6 @@
 
 namespace plurality {
 
-namespace {
-
-TrajectoryPoint snapshot(const Configuration& config, state_t num_colors, round_t round) {
-  const state_t plurality = config.plurality(num_colors);
-  return TrajectoryPoint{
-      .round = round,
-      .plurality_color = plurality,
-      .plurality_count = config.at(plurality),
-      .runner_up_count = num_colors >= 2 ? config.runner_up_count(num_colors) : 0,
-      .bias = config.bias(num_colors),
-      .minority_mass = config.minority_mass(num_colors),
-  };
-}
-
-}  // namespace
-
 RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                        const RunOptions& options, rng::Xoshiro256pp& gen,
                        StepWorkspace& ws) {
@@ -33,34 +17,23 @@ RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                         << " states but dynamics expects "
                         << dynamics.num_states(num_colors));
   PLURALITY_REQUIRE(start.n() > 0, "run_dynamics: empty configuration");
-  PLURALITY_REQUIRE(options.adversary == nullptr || options.backend == Backend::CountBased,
-                    "run_dynamics: adversaries are supported on the count-based backend");
-  PLURALITY_REQUIRE(options.engine == EngineMode::Strict ||
-                        options.backend == Backend::CountBased,
-                    "run_dynamics: the batched engine is count-based only here "
-                    "(graph scenarios batch via run_graph_trials)");
+  PLURALITY_REQUIRE(dynamics.has_exact_law(states),
+                    "run_dynamics: dynamics '" << dynamics.name() << "' has no exact law at "
+                        << states << " states; run it per agent with "
+                           "graph::run_graph_trials on graph::AgentGraph::complete");
 
   RunResult result;
   result.initial_plurality = start.plurality(num_colors);
 
   Configuration config = start;
-  std::unique_ptr<AgentSimulation> agents;
-  if (options.backend == Backend::Agent) {
-    // Derive the agent seed from the caller's generator so independent
-    // trials get independent agent streams.
-    agents = std::make_unique<AgentSimulation>(dynamics, start, gen());
-  }
   std::unique_ptr<rng::PhiloxStream> philox;
-  if (options.backend == Backend::CountBased && options.engine == EngineMode::Batched) {
+  if (options.engine == EngineMode::Batched) {
     // One draw keys the counter-based stepping stream; `gen` stays the
     // source for everything else (adversary moves, factory randomness), so
     // switching engines never perturbs those streams.
     philox = std::make_unique<rng::PhiloxStream>(gen());
   }
 
-  if (options.record_trajectory) {
-    result.trajectory.push_back(snapshot(config, num_colors, 0));
-  }
   if (options.observer != nullptr) {
     options.observer->begin_trial(options.observer_trial, config, num_colors);
   }
@@ -93,23 +66,15 @@ RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
       // every caller that sees Cancelled.
       return finish(round - 1, StopReason::Cancelled);
     }
-    if (options.backend == Backend::CountBased) {
-      if (philox != nullptr) {
-        step_count_based(dynamics, config, *philox, ws);
-      } else {
-        step_count_based(dynamics, config, gen, ws);
-      }
-      if (options.adversary != nullptr) {
-        options.adversary->corrupt(config, num_colors, round, gen);
-      }
+    if (philox != nullptr) {
+      step_count_based(dynamics, config, *philox, ws);
     } else {
-      agents->step();
-      config = agents->configuration();
+      step_count_based(dynamics, config, gen, ws);
+    }
+    if (options.adversary != nullptr) {
+      options.adversary->corrupt(config, num_colors, round, gen);
     }
 
-    if (options.record_trajectory) {
-      result.trajectory.push_back(snapshot(config, num_colors, round));
-    }
     if (options.observer != nullptr) {
       options.observer->observe_round(options.observer_trial, round, config, num_colors);
     }

@@ -1,8 +1,12 @@
-// Single-run driver: advances a dynamics from an initial configuration
-// until color consensus (or another absorbing/stop condition), optionally
-// recording the per-round trajectory the phase-structure analysis (E8)
-// needs and applying an F-bounded adversary after each protocol step
-// (Section 3.1's  Random -> Adversary  round split).
+// Single-run driver: advances a dynamics from an initial configuration by
+// exact-law count stepping (the clique model) until color consensus (or
+// another absorbing/stop condition), applying an F-bounded adversary
+// after each protocol step (Section 3.1's  Random -> Adversary  round
+// split). Per-round trajectories, such as the one the phase-structure
+// analysis (E8) needs, are recorded by a TrajectoryObserver
+// (core/observer.hpp). Per-agent runs — sparse topologies,
+// and the clique when the dynamics has no exact law — go through
+// graph::run_graph_trials.
 #pragma once
 
 #include <functional>
@@ -23,7 +27,7 @@ namespace plurality {
 class RoundObserver;  // core/observer.hpp
 
 /// One sampled point of a run's trajectory (colors only; auxiliary states
-/// count toward minority_mass).
+/// count toward minority_mass) — what TrajectoryObserver records.
 struct TrajectoryPoint {
   round_t round;
   state_t plurality_color;
@@ -52,24 +56,19 @@ struct RunResult {
   bool plurality_won = false;
   /// Final configuration at stop time.
   Configuration final_config;
-  /// Per-round trajectory; empty unless RunOptions::record_trajectory.
-  std::vector<TrajectoryPoint> trajectory;
 };
 
 struct RunOptions {
   round_t max_rounds = 1'000'000;
-  bool record_trajectory = false;
-  Backend backend = Backend::CountBased;
-  /// Stepping pipeline (count-based backend only). Strict is the bitwise-
-  /// pinned xoshiro default; Batched steps with block-generated PhiloxStream
-  /// uniforms through the same exact conditional-binomial kernels (the
+  /// Stepping pipeline. Strict is the bitwise-pinned xoshiro default;
+  /// Batched steps with block-generated PhiloxStream uniforms through the same exact conditional-binomial kernels (the
   /// count-side face of the graph engine's mode axis — distributionally
   /// equivalent, not bitwise). The Philox stream is keyed off one draw from
   /// the caller's generator, so trials stay independent and thread-
   /// invariant; adversary and factory randomness keep using the caller's
   /// generator either way.
   EngineMode engine = EngineMode::Strict;
-  /// Applied after every protocol step (count-based backend only).
+  /// Applied after every protocol step.
   const Adversary* adversary = nullptr;
   /// Optional extra stop condition, checked after each round:
   /// (configuration, round) -> stop?
@@ -94,7 +93,7 @@ struct RunOptions {
 
 /// Runs `dynamics` from `start` (already in the dynamics' state space —
 /// use UndecidedState::extend_with_undecided for protocols with auxiliary
-/// states). Advances `gen` as its randomness source. `ws` is the stepping
+/// states). Requires dynamics.has_exact_law(start.k()). Advances `gen` as its randomness source. `ws` is the stepping
 /// scratch; callers running many runs (run_trials) pass one workspace per
 /// thread so steady-state rounds allocate nothing. Workspace sharing never
 /// affects results (it is pure scratch — see step_workspace.hpp).

@@ -101,8 +101,6 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
   PLURALITY_REQUIRE(options.trials > 0, "run_trials: need at least one trial");
   RunOptions run_options;
   run_options.max_rounds = options.max_rounds;
-  run_options.record_trajectory = false;  // trajectories cost memory x trials
-  run_options.backend = options.backend;
   run_options.engine = options.mode;
   run_options.adversary = options.adversary;
   run_options.stop_predicate = options.stop_predicate;
@@ -134,16 +132,9 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
   };
 
 #if defined(PLURALITY_HAVE_OPENMP)
-  const bool agent = options.backend == Backend::Agent;
-  count_t nodes = 0;  // the count driver's plan does not depend on n
-  if (agent && !options.parallelism) {
-    // Size the plan from trial 0's start. The factory is pure, so the
-    // extra call changes nothing.
-    rng::Xoshiro256pp gen = streams.stream(0);
-    nodes = factory(0, gen).n();
-  }
-  if (resolve_parallelism(options, agent ? TrialDriver::Agent : TrialDriver::Count, nodes) ==
-      Parallelism::Trials) {
+  // The count driver's plan does not depend on n (its rounds have no
+  // parallel loop), so no start needs building to make it.
+  if (resolve_parallelism(options, TrialDriver::Count, 0) == Parallelism::Trials) {
 #pragma omp parallel
     {
       StepWorkspace ws;

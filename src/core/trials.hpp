@@ -74,16 +74,13 @@ struct CommonTrialOptions {
   /// matters on sparse graphs). The count backend is exchangeable, so
   /// there is nothing to shuffle.
   bool shuffle_layout = true;
-  /// Count path only: count-based exact-law stepping vs the literal
-  /// agent-level clique simulation.
-  Backend backend = Backend::CountBased;
-  /// Count path only: optional extra stop condition, checked after each
-  /// round. (Graph trials stop on consensus/absorption/round limit.)
+  /// Optional extra stop condition, checked at round 0 and after each
+  /// round on top of the absorption checks (StopReason::PredicateMet).
   std::function<bool(const Configuration&, round_t)> stop_predicate;
   /// Per-round probe pipeline (core/observer.hpp), threaded through every
   /// driver. Observers read materialized configurations only and draw no
   /// RNG, so observer-on and observer-off runs produce bitwise-identical
-  /// trial streams (tests/core/test_observer.cpp pins the backend × engine
+  /// trial streams (tests/core/test_observer.cpp pins the driver × engine
   /// × adversary grid). Distinct trials may observe concurrently — see
   /// RoundObserver's per-trial-slot contract.
   RoundObserver* observer = nullptr;

@@ -18,20 +18,35 @@ const Ops* avx512_ops();  // defined in batched_simd_avx512.cpp
 const Ops* avx2_ops();  // defined in batched_simd_avx2.cpp
 #endif
 
-const Ops* detect() {
-#if defined(__x86_64__) || defined(_M_X64)
-#if defined(PLURALITY_SIMD_AVX512)
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl")) {
-    return avx512_ops();
+bool host_supports(Level level) {
+  switch (level) {
+    case Level::Scalar:
+      return true;
+    case Level::Avx2:
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(PLURALITY_SIMD_AVX2)
+      return __builtin_cpu_supports("avx2");
+#else
+      return false;
+#endif
+    case Level::Avx512:
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(PLURALITY_SIMD_AVX512)
+      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+             __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl");
+#else
+      return false;
+#endif
   }
+  return false;
+}
+
+const Ops* detect(Level cap) {
+#if defined(PLURALITY_SIMD_AVX512)
+  if (cap >= Level::Avx512 && host_supports(Level::Avx512)) return avx512_ops();
 #endif
 #if defined(PLURALITY_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2")) {
-    return avx2_ops();
-  }
+  if (cap >= Level::Avx2 && host_supports(Level::Avx2)) return avx2_ops();
 #endif
-#endif
+  (void)cap;
   return nullptr;
 }
 

@@ -8,8 +8,8 @@
 // Every function here is bitwise-equivalent to the scalar passes in
 // kernels_batched.hpp (same Philox words, same bounded-bias conversion,
 // same rule algebra) — pinned by tests/graph/test_graph_batched.cpp, which
-// runs the engine with SIMD forced off and on and requires identical
-// states. SIMD availability can therefore never change results, only
+// runs the engine capped at every table the host can execute and requires
+// states identical to the scalar pipeline's. SIMD availability can therefore never change results, only
 // speed.
 #pragma once
 
@@ -57,8 +57,17 @@ struct Ops {
                    state_t k, count_t* local);
 };
 
-/// The best kernel table this host supports, or nullptr (non-x86, old CPU,
-/// or the library was built without the ISA TUs). Detection runs once.
-const Ops* detect();
+/// The kernel tables, weakest first. Scalar has no table: the portable
+/// pipeline in kernels_batched.hpp.
+enum class Level : std::uint8_t { Scalar, Avx2, Avx512 };
+
+/// True when the host can execute `level`'s table and the library was
+/// built with it (always true for Scalar).
+bool host_supports(Level level);
+
+/// The best kernel table at or below `cap` that this host supports, or
+/// nullptr (scalar cap, non-x86, old CPU, or the library was built without
+/// the ISA TUs).
+const Ops* detect(Level cap = Level::Avx512);
 
 }  // namespace plurality::graph::simd

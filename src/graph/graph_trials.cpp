@@ -77,9 +77,6 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
   PLURALITY_REQUIRE(options.trials > 0, "run_graph_trials: need at least one trial");
   PLURALITY_REQUIRE(graph.is_complete() || graph.min_degree() >= 1,
                     "run_graph_trials: isolated vertices cannot sample");
-  PLURALITY_REQUIRE(options.backend == Backend::CountBased && !options.stop_predicate,
-                    "run_graph_trials: backend/stop_predicate are count-path options; "
-                    "leave them defaulted for graph trials");
 
   const rng::StreamFactory streams(options.seed);
   TrialOutcomes outcomes(options.trials, options.exact_round_samples);
@@ -104,12 +101,16 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
     RoundObserver* const observer = options.observer;
     if (observer != nullptr) observer->begin_trial(trial, config, num_colors);
 
+    // The same checks, in the same order, as core's run_dynamics.
+    const auto& stop = options.stop_predicate;
     StopReason reason = StopReason::RoundLimit;
     round_t rounds = 0;
     bool won = false;
     if (config.color_consensus(num_colors)) {
       reason = StopReason::ColorConsensus;
       won = initial_plurality == config.plurality(num_colors);
+    } else if (stop && stop(config, 0)) {
+      reason = StopReason::PredicateMet;
     } else {
       for (round_t r = 1; r <= options.max_rounds; ++r) {
         if (options.cancel != nullptr && options.cancel->stop_requested()) {
@@ -133,6 +134,11 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
         if (config.monochromatic()) {
           // All mass in one non-color state (e.g. all-undecided).
           reason = StopReason::NonColorAbsorbed;
+          rounds = r;
+          break;
+        }
+        if (stop && stop(config, r)) {
+          reason = StopReason::PredicateMet;
           rounds = r;
           break;
         }

@@ -22,8 +22,10 @@ namespace plurality::graph {
 /// Runs `options.trials` independent runs of `dynamics` on `graph` from
 /// factory-generated starts (the factory contract matches core's
 /// ConfigFactory: thread-safe / pure, configurations sized to the graph).
-/// Count-path-only fields of CommonTrialOptions (backend, stop_predicate)
-/// must be left at their defaults. options.observer (when set) sees every
+/// options.stop_predicate (when set) stops a trial with
+/// StopReason::PredicateMet, checked as core's run_dynamics checks it.
+/// On AgentGraph::complete this is the per-agent clique model — the path
+/// for dynamics without an exact law. options.observer (when set) sees every
 /// materialized round, adversary move included, without perturbing any
 /// stream (tests/core/test_observer.cpp).
 TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,

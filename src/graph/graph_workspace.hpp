@@ -3,7 +3,7 @@
 //
 // A graph round needs the node-state array, its double buffer, and the
 // per-chunk partial count matrix. The pre-refactor stepper allocated the
-// partials (and a fresh Configuration) every round, which makes agent-level
+// partials (and a fresh Configuration) every round, which makes per-agent
 // stepping allocator-bound exactly where it is already the slow path
 // (Θ(n·h) work per round). The workspace owns every buffer and is reused
 // across rounds AND across trials — run_graph_trials keeps one per OpenMP
@@ -27,9 +27,9 @@
 
 namespace plurality::graph {
 
-/// Fixed chunk fan-out of the graph stepper (same determinism contract as
-/// AgentSimulation::kChunks: one hash-derived RNG stream per (round, chunk),
-/// so results depend on the seed but never on the thread count).
+/// Fixed chunk fan-out of the graph stepper: one hash-derived RNG stream
+/// per (round, chunk), so results depend on the seed but never on the
+/// thread count.
 inline constexpr unsigned kGraphChunks = 64;
 
 /// Which stepping pipeline step_graph runs. The enum itself now lives in

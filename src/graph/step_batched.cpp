@@ -25,11 +25,10 @@ namespace kb = kernels_batched;
 
 namespace {
 
-std::atomic<bool> g_simd_enabled{true};
+std::atomic<simd::Level> g_simd_cap{simd::Level::Avx512};
 
 const simd::Ops* active_ops() {
-  if (!g_simd_enabled.load(std::memory_order_relaxed)) return nullptr;
-  return simd::detect();
+  return simd::detect(g_simd_cap.load(std::memory_order_relaxed));
 }
 
 /// Stack-resident tile arenas of the stage-split pipeline: bounded by
@@ -304,8 +303,8 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
   }
 }
 
-void set_batched_simd_enabled(bool enabled) {
-  g_simd_enabled.store(enabled, std::memory_order_relaxed);
+void set_batched_simd_cap(simd::Level cap) {
+  g_simd_cap.store(cap, std::memory_order_relaxed);
 }
 
 bool batched_simd_active() {

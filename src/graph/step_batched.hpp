@@ -13,6 +13,7 @@
 
 #include "core/configuration.hpp"
 #include "core/dynamics.hpp"
+#include "graph/batched_simd.hpp"
 #include "graph/graph_workspace.hpp"
 #include "rng/stream.hpp"
 #include "support/types.hpp"
@@ -38,11 +39,12 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
 
 // --- Test hooks (single-threaded setup only). ---------------------------
 
-/// Forces the scalar pipeline even when SIMD kernels are available, so the
-/// SIMD paths can be pinned bitwise against the scalar reference.
-void set_batched_simd_enabled(bool enabled);
+/// Caps the SIMD table the pipeline may take (default Avx512: the best
+/// the host runs). Capping at each level simd::host_supports accepts lets
+/// every table be pinned bitwise against the scalar pipeline.
+void set_batched_simd_cap(simd::Level cap);
 
-/// True when a SIMD fast path exists on this host (and is enabled).
+/// True when a SIMD fast path exists on this host (under the cap).
 [[nodiscard]] bool batched_simd_active();
 
 /// The ISA of that fast path ("avx512" / "avx2"), or "scalar" — what the

@@ -63,7 +63,6 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   options.mode = spec.engine == "batched" ? EngineMode::Batched : EngineMode::Strict;
   options.adversary = compiled.adversary_.get();
   options.shuffle_layout = spec.shuffle_layout;
-  options.backend = backend == "agent" ? Backend::Agent : Backend::CountBased;
 
   const StopCondition stop = parse_stop_condition(spec.stop);
   const state_t num_colors = compiled.dynamics_->num_colors(compiled.start_.k());
@@ -83,9 +82,7 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
 }
 
 ExecutionPlan Scenario::plan() const {
-  const TrialDriver driver = use_graph_ ? TrialDriver::Graph
-                             : options_.backend == Backend::Agent ? TrialDriver::Agent
-                                                                  : TrialDriver::Count;
+  const TrialDriver driver = use_graph_ ? TrialDriver::Graph : TrialDriver::Count;
   ExecutionPlan plan =
       plan_execution(options_.trials, driver, start_.n(), execution_thread_budget());
   if (use_graph_) {

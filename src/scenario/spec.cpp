@@ -103,19 +103,6 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
   }
 }
 
-/// The backend `spec.backend == "auto"` denotes for an already-constructed
-/// dynamics (shared by validate() and resolved_backend() so the constraints
-/// below always apply to what will actually run).
-std::string resolve_backend_impl(const ScenarioSpec& spec, const Dynamics& dyn) {
-  if (spec.backend != "auto") return spec.backend;
-  if (!graph::topology_is_clique(spec.topology)) return "graph";
-  if (dyn.has_exact_law(dyn.num_states(spec.k))) return "count";
-  // No exact law on the clique: a per-agent backend. The core agent
-  // backend has no batched pipeline; the graph engine's implicit clique
-  // does.
-  return spec.engine == "batched" ? "graph" : "agent";
-}
-
 /// The topology backend "auto" denotes (shared by validate() and
 /// Scenario::compile() so both always agree on what gets built).
 std::string resolve_topology_backend_impl(const ScenarioSpec& spec) {
@@ -225,7 +212,10 @@ std::string ScenarioSpec::to_spec_string() const {
 
 std::string ScenarioSpec::resolved_backend() const {
   validate();
-  return resolve_backend_impl(*this, *make_dynamics(dynamics));
+  if (backend != "auto") return backend;
+  const auto dyn = make_dynamics(dynamics);
+  const bool exact = dyn->has_exact_law(dyn->num_states(k));
+  return graph::topology_is_clique(topology) && exact ? "count" : "graph";
 }
 
 std::string ScenarioSpec::resolved_topology_backend() const {
@@ -260,10 +250,11 @@ void ScenarioSpec::validate() const {
   PLURALITY_REQUIRE(engine == "strict" || engine == "batched",
                     "scenario: engine must be 'strict' or 'batched', got '" << engine
                                                                             << "'");
-  PLURALITY_REQUIRE(backend == "auto" || backend == "count" || backend == "agent" ||
-                        backend == "graph",
-                    "scenario: backend must be auto/count/agent/graph, got '" << backend
-                                                                              << "'");
+  PLURALITY_REQUIRE(backend != "agent",
+                    "scenario: backend 'agent' was removed; it was bitwise identical to "
+                    "the graph engine on the clique — use backend=graph (or auto)");
+  PLURALITY_REQUIRE(backend == "auto" || backend == "count" || backend == "graph",
+                    "scenario: backend must be auto/count/graph, got '" << backend << "'");
   PLURALITY_REQUIRE(topology_backend == "auto" || topology_backend == "arena" ||
                         topology_backend == "implicit",
                     "scenario: topology_backend must be auto/arena/implicit, got '"
@@ -295,38 +286,14 @@ void ScenarioSpec::validate() const {
                               "'auto')");
     PLURALITY_REQUIRE(dyn->has_exact_law(states),
                       "scenario: dynamics '" << dynamics << "' has no exact adoption law "
-                      "at k = " << k << "; use backend 'agent' or 'graph' (or 'auto')");
-  }
-  if (backend == "agent") {
-    PLURALITY_REQUIRE(clique, "scenario: backend 'agent' is the clique sampler; topology '"
-                                  << topology << "' needs backend 'graph' (or 'auto')");
-  }
-  // Constraints that depend on WHICH backend runs apply to the resolved
-  // backend, so backend=auto specs can never compile into a driver that
-  // rejects them at run time (inside a parallel trial loop, where a throw
-  // is fatal).
-  const std::string resolved = resolve_backend_impl(*this, *dyn);
-  if (resolved == "agent") {
-    PLURALITY_REQUIRE(engine == "strict",
-                      "scenario: the agent backend has no batched pipeline; use backend "
-                      "'graph' (the implicit clique batches) or engine 'strict'");
-    PLURALITY_REQUIRE(adversary == "none",
-                      "scenario: adversaries need count-level or node-level state, which "
-                      "the agent backend does not expose; use backend 'count' (clique) "
-                      "or 'graph'");
+                      "at k = " << k << "; use backend 'graph' (or 'auto'), which runs it "
+                      "per agent on the clique");
   }
 
   const StopCondition stop_spec = parse_stop_condition(stop);
-  if (stop_spec.kind != StopCondition::Kind::Consensus) {
-    // The graph driver stops on consensus/absorption only; predicates are
-    // a count-path feature (where the configuration is the full state).
-    PLURALITY_REQUIRE(resolved != "graph", "scenario: stop '" << stop
-                                      << "' is count-path only; graph trials stop on "
-                                         "consensus (use stop 'consensus')");
-    PLURALITY_REQUIRE(stop_spec.kind != StopCondition::Kind::AnyReaches || stop_spec.value <= n,
-                      "scenario: any-reaches threshold " << stop_spec.value
-                                                         << " exceeds n = " << n);
-  }
+  PLURALITY_REQUIRE(stop_spec.kind != StopCondition::Kind::AnyReaches || stop_spec.value <= n,
+                    "scenario: any-reaches threshold " << stop_spec.value
+                                                       << " exceeds n = " << n);
 }
 
 }  // namespace plurality::scenario

@@ -11,7 +11,7 @@
 //   workload   initial-configuration spec (core/workloads.hpp grammar)
 //   topology   topology spec            (graph/topology_registry.hpp grammar)
 //   adversary  adversary spec           (core/adversary.hpp grammar)
-//   backend    auto | count | agent | graph
+//   backend    auto | count | graph
 //   engine     strict | batched  (core/engine_mode.hpp)
 //   stop       consensus | m-plurality:<M> | any-reaches:<T>
 //   n, k, trials, seed, max_rounds, shuffle_layout
@@ -21,8 +21,9 @@
 // `parallel` field fails with a message saying so. The removed fields
 // `graph_layout`, `tile_nodes` and `prefetch_distance` fail the same way:
 // graphs step in the order their builder numbered them, with the default
-// cache tuning. So does the removed `engine=push` value (it was bitwise
-// identical to `batched`).
+// cache tuning. So do the removed `engine=push` value (it was bitwise
+// identical to `batched`) and the removed `backend=agent` value (it was
+// bitwise the graph engine's strict pipeline on the implicit clique).
 //
 // Specs parse from "key=value" strings or JSON files, validate with
 // actionable errors, compile (scenario.hpp) into the right backend, and
@@ -44,10 +45,8 @@ struct ScenarioSpec {
   std::string adversary = "none";
   /// Trial driver. "auto" resolves at validate()/compile() time: clique
   /// topology + exact adoption law -> "count" (the Θ(k)-per-round exact
-  /// backend); any sparse topology -> "graph"; clique without an exact law
-  /// -> "agent" under the strict engine, "graph" under batched (the agent
-  /// backend has no batched pipeline, the graph engine's implicit clique
-  /// does).
+  /// backend); anything else -> "graph" (sparse topologies, and the
+  /// per-agent implicit clique for dynamics without an exact law).
   std::string backend = "auto";
   std::string engine = "strict";
   /// Stop condition, checked after each round on top of the always-on
@@ -56,7 +55,7 @@ struct ScenarioSpec {
   ///   "m-plurality:<M>"   all but at most M nodes on color 0 (Corollary 4
   ///                       runs; every workload puts the plurality there)
   ///   "any-reaches:<T>"   some color holds >= T nodes (Theorem 2 runs)
-  /// Predicates are count-path only (the graph driver stops on consensus).
+  /// Predicates work on every backend.
   std::string stop = "consensus";
   /// How the graph backend materializes the topology:
   ///   "auto"      implicit whenever the topology has an implicit form and
@@ -71,7 +70,7 @@ struct ScenarioSpec {
   ///               batched sample bound)
   /// Implicit ring/torus/lattice are bitwise-identical to their arena
   /// builds, so this knob never changes results — only memory and the
-  /// reachable n. Ignored by the count/agent backends.
+  /// reachable n. Ignored by the count backend.
   std::string topology_backend = "auto";
   count_t n = 10'000;
   state_t k = 3;
@@ -117,8 +116,8 @@ struct ScenarioSpec {
   /// succeed (up to edge-list file contents).
   void validate() const;
 
-  /// The backend "auto" resolves to under this spec's topology, dynamics,
-  /// and engine (identity for explicit backends). validate()s first.
+  /// The backend "auto" resolves to under this spec's topology and
+  /// dynamics (identity for explicit backends). validate()s first.
   [[nodiscard]] std::string resolved_backend() const;
 
   /// The topology backend ("arena" or "implicit") this spec's graph would

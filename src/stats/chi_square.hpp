@@ -1,9 +1,9 @@
 // Chi-square goodness-of-fit and homogeneity tests.
 //
 // These back the statistical assertions the test suite makes about the RNG
-// substrate and about the equivalence of the two simulation backends: the
-// agent-level and count-based steppers must be draws from the same
-// distribution, which we test by binning outcomes and comparing.
+// substrate and about the equivalence of the two simulation paths: the
+// per-agent (graph clique) and count-based steppers must be draws from the
+// same distribution, which we test by binning outcomes and comparing.
 #pragma once
 
 #include <cstdint>

@@ -105,12 +105,6 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
     // Θ(k) counters per engine state; trials reuse one workspace.
     return kFixed + 64 * k * 8;
   }
-  if (backend == "agent") {
-    // Two state arrays (u32), two byte mirrors, per-thread count partials.
-    const std::uint64_t per_trial =
-        sat_add(sat_mul(2 * 4 + 2, n), 64 * k * 8);
-    return sat_add(kFixed, sat_mul(per_trial, 3) / 2);
-  }
 
   // graph backend. Implicit topologies (gossip/clique, and ring/torus/
   // lattice once the auto rule kicks in) build no arena: total state is the

@@ -3,7 +3,7 @@
 // Replaces global operator new/delete with counting wrappers (which is why
 // this suite is its own binary — the hook is binary-global) and asserts
 // that once workspaces are warm, neither the count-based stepper (sparse
-// and dense kernels alike) nor the agent backend's step touches the heap.
+// and dense kernels alike) nor the graph engine's step touches the heap.
 // This is the property that keeps stepping hardware-bound instead of
 // allocator-bound at paper scale.
 //
@@ -98,17 +98,6 @@ TEST(ZeroAllocation, CountBasedDenseStatefulSteps) {
   step_count_based(dyn, c, gen, ws);
   const std::uint64_t allocs = allocations_during([&] {
     for (int r = 0; r < 200; ++r) step_count_based(dyn, c, gen, ws);
-  });
-  EXPECT_EQ(allocs, 0u);
-}
-
-TEST(ZeroAllocation, AgentBackendSteps) {
-  UndecidedState dyn;
-  AgentSimulation sim(
-      dyn, UndecidedState::extend_with_undecided(Configuration({6000, 3000, 1000})), 4);
-  sim.step();  // warm-up
-  const std::uint64_t allocs = allocations_during([&] {
-    for (int r = 0; r < 50; ++r) sim.step();
   });
   EXPECT_EQ(allocs, 0u);
 }
@@ -226,23 +215,25 @@ TEST(ZeroAllocation, CountBasedPhiloxSteps) {
 TEST(ZeroAllocation, GraphBatchedModeSteps) {
   // EngineMode::Batched: tile arenas live on the stack (bounded by
   // kBatchedWordBudget) and Philox is stateless, so warm batched rounds are
-  // zero-allocation on both the fused SIMD path and the forced-scalar tile
-  // pipeline.
+  // zero-allocation on every SIMD table the host runs and on the
+  // scalar tile pipeline.
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(12);
   const graph::Topology topo = graph::random_regular(2000, 8, topo_gen);
   const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
-  for (const bool simd : {true, false}) {
-    graph::set_batched_simd_enabled(simd);
+  using graph::simd::Level;
+  for (const Level level : {Level::Avx512, Level::Avx2, Level::Scalar}) {
+    if (!graph::simd::host_supports(level)) continue;
+    graph::set_batched_simd_cap(level);
     graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(2000, 3, 500), 13,
                                /*shuffle_layout=*/true, graph::EngineMode::Batched);
     sim.step();  // warm-up
     const std::uint64_t allocs = allocations_during([&] {
       for (int r = 0; r < 50; ++r) sim.step();
     });
-    EXPECT_EQ(allocs, 0u) << (simd ? "simd" : "scalar");
+    EXPECT_EQ(allocs, 0u) << graph::batched_simd_isa();
   }
-  graph::set_batched_simd_enabled(true);
+  graph::set_batched_simd_cap(Level::Avx512);
 }
 
 TEST(ZeroAllocation, GraphBatchedIrregularAndHPlurality) {

@@ -80,7 +80,8 @@ inline void expect_rule_matches_law(const Dynamics& dynamics, const Configuratio
     dynamics.adoption_law(config.counts_real(), law);
   }
 
-  // Node-id sampling identical to the agent backend's.
+  // Node-id sampling identical to the per-agent clique's (uniform over the
+  // population, self included).
   std::vector<state_t> population;
   population.reserve(n);
   for (state_t j = 0; j < k; ++j) population.insert(population.end(), config.at(j), j);

@@ -1,5 +1,7 @@
-// Count-based and agent backends: invariants, determinism, and agreement
-// in distribution (the central correctness property of the whole system).
+// The count-based backend and per-agent stepping (the graph engine's
+// strict pipeline on the implicit clique, unshuffled layout): invariants,
+// determinism, and agreement in distribution (the central correctness
+// property of the whole system).
 #include "core/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "core/median.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
+#include "graph/agent_graph.hpp"
 #include "rng/philox.hpp"
 #include "stats/chi_square.hpp"
 #include "support/check.hpp"
@@ -84,17 +87,25 @@ TEST(CountBackend, StepMeanMatchesLemma1) {
   }
 }
 
-TEST(AgentBackend, LaysOutStartConfiguration) {
+/// The per-agent clique model over `start`'s population, nodes laid out in
+/// state order.
+graph::GraphSimulation clique_agents(const Dynamics& dynamics, const Configuration& start,
+                                     std::uint64_t seed) {
+  return graph::GraphSimulation(dynamics, graph::Topology::complete(start.n()), start, seed,
+                                /*shuffle_layout=*/false);
+}
+
+TEST(CliqueAgents, LaysOutStartConfiguration) {
   ThreeMajority dynamics;
-  AgentSimulation sim(dynamics, Configuration({3, 2, 5}), 1);
+  graph::GraphSimulation sim = clique_agents(dynamics, Configuration({3, 2, 5}), 1);
   EXPECT_EQ(sim.configuration(), Configuration({3, 2, 5}));
   EXPECT_EQ(sim.states().size(), 10u);
   EXPECT_EQ(sim.round(), 0u);
 }
 
-TEST(AgentBackend, PreservesPopulationAndTracksCounts) {
+TEST(CliqueAgents, PreservesPopulationAndTracksCounts) {
   ThreeMajority dynamics;
-  AgentSimulation sim(dynamics, Configuration({40, 30, 30}), 2);
+  graph::GraphSimulation sim = clique_agents(dynamics, Configuration({40, 30, 30}), 2);
   for (int round = 0; round < 20; ++round) {
     sim.step();
     EXPECT_EQ(sim.configuration().n(), 100u);
@@ -106,10 +117,10 @@ TEST(AgentBackend, PreservesPopulationAndTracksCounts) {
   EXPECT_EQ(sim.round(), 20u);
 }
 
-TEST(AgentBackend, DeterministicForSeed) {
+TEST(CliqueAgents, DeterministicForSeed) {
   ThreeMajority dynamics;
-  AgentSimulation a(dynamics, Configuration({50, 50}), 99);
-  AgentSimulation b(dynamics, Configuration({50, 50}), 99);
+  graph::GraphSimulation a = clique_agents(dynamics, Configuration({50, 50}), 99);
+  graph::GraphSimulation b = clique_agents(dynamics, Configuration({50, 50}), 99);
   for (int round = 0; round < 10; ++round) {
     a.step();
     b.step();
@@ -117,27 +128,28 @@ TEST(AgentBackend, DeterministicForSeed) {
   }
 }
 
-TEST(AgentBackend, MonochromaticIsFixedPoint) {
+TEST(CliqueAgents, MonochromaticIsFixedPoint) {
   Voter dynamics;
-  AgentSimulation sim(dynamics, Configuration({0, 100}), 3);
+  graph::GraphSimulation sim = clique_agents(dynamics, Configuration({0, 100}), 3);
   sim.step();
   EXPECT_EQ(sim.configuration().at(1), 100u);
 }
 
-TEST(AgentBackend, UndecidedProtocolRuns) {
+TEST(CliqueAgents, UndecidedProtocolRuns) {
   UndecidedState dynamics;
   const Configuration start =
       UndecidedState::extend_with_undecided(Configuration({60, 40}));
-  AgentSimulation sim(dynamics, start, 4);
+  graph::GraphSimulation sim = clique_agents(dynamics, start, 4);
   for (int round = 0; round < 30; ++round) {
     sim.step();
     EXPECT_EQ(sim.configuration().n(), 100u);
   }
 }
 
-// The central cross-validation: the two backends sample the same one-round
-// transition distribution. We compare the plurality count after one round
-// over many independent one-round runs via a two-sample chi-square.
+// The central cross-validation: count stepping and per-agent stepping on
+// the clique sample the same one-round transition distribution. We compare
+// the plurality count after one round over many independent one-round runs
+// via a two-sample chi-square.
 class BackendEquivalence : public ::testing::TestWithParam<const Dynamics*> {};
 
 TEST_P(BackendEquivalence, OneRoundDistributionsAgree) {
@@ -161,7 +173,7 @@ TEST_P(BackendEquivalence, OneRoundDistributionsAgree) {
     ++count_hist[c.at(0)];
   }
   for (int t = 0; t < kTrials; ++t) {
-    AgentSimulation sim(dynamics, start, 1'000'000 + t);
+    graph::GraphSimulation sim = clique_agents(dynamics, start, 1'000'000 + t);
     sim.step();
     ++agent_hist[sim.configuration().at(0)];
   }

@@ -16,6 +16,7 @@
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
+#include "graph/agent_graph.hpp"
 
 namespace plurality {
 namespace {
@@ -101,8 +102,9 @@ TEST_P(DynamicsProperties, ColorConsensusIsAbsorbing) {
   EXPECT_EQ(mono.at(0), n_);
 }
 
-TEST_P(DynamicsProperties, AgentBackendConservesToo) {
-  AgentSimulation sim(*dynamics_, start_, 4);
+TEST_P(DynamicsProperties, CliqueAgentsConserveToo) {
+  graph::GraphSimulation sim(*dynamics_, graph::Topology::complete(n_), start_, 4,
+                             /*shuffle_layout=*/false);
   for (int round = 0; round < 10; ++round) {
     sim.step();
     ASSERT_EQ(sim.configuration().n(), n_);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/observer.hpp"
 #include "core/trials.hpp"
 #include "scenario/scenario.hpp"
@@ -16,17 +18,23 @@ namespace {
 
 using scenario::ScenarioSpec;
 
-ScenarioSpec slow_spec(const std::string& backend) {
+/// The drivers a scenario can reach: the count backend, the graph engine
+/// on the clique (per agent) and on a sparse topology.
+struct Driver {
+  const char* backend;
+  const char* topology;
+};
+constexpr Driver kDrivers[] = {
+    {"count", "clique"}, {"graph", "clique"}, {"graph", "regular:8"}};
+
+ScenarioSpec slow_spec(const Driver& driver) {
   // boost-runner-up with a budget that forbids consensus: the run can ONLY
-  // end via the round cap — or a cancellation, long before it. The agent
-  // backend rejects adversaries, so it runs plain (still far longer than
-  // the rounds any test fires at).
+  // end via the round cap — or a cancellation, long before it.
   ScenarioSpec spec = ScenarioSpec::parse(
       "dynamics=3-majority workload=bias:2c n=2000 k=3 trials=4 "
-      "max_rounds=200000 seed=11");
-  spec.backend = backend;
-  if (backend != "agent") spec.adversary = "boost-runner-up:50";
-  if (backend == "graph") spec.topology = "regular:8";
+      "max_rounds=200000 seed=11 adversary=boost-runner-up:50");
+  spec.backend = driver.backend;
+  spec.topology = driver.topology;
   return spec;
 }
 
@@ -69,12 +77,12 @@ TEST(CancellationToken, FirstReasonWins) {
 }
 
 TEST(Cancellation, PreCancelledTokenStopsEveryBackendImmediately) {
-  for (const char* backend : {"count", "agent", "graph"}) {
-    SCOPED_TRACE(backend);
+  for (const Driver& driver : kDrivers) {
+    SCOPED_TRACE(std::string(driver.backend) + " " + driver.topology);
     CancellationToken token;
     token.cancel(CancellationToken::Reason::kDeadline);
     try {
-      (void)scenario::run_scenario(slow_spec(backend), nullptr, &token);
+      (void)scenario::run_scenario(slow_spec(driver), nullptr, &token);
       FAIL() << "expected CancelledError";
     } catch (const CancelledError& e) {
       EXPECT_EQ(e.reason(), CancellationToken::Reason::kDeadline);
@@ -83,12 +91,12 @@ TEST(Cancellation, PreCancelledTokenStopsEveryBackendImmediately) {
 }
 
 TEST(Cancellation, MidRunCancelThrowsAfterTheRegionJoins) {
-  for (const char* backend : {"count", "agent", "graph"}) {
-    SCOPED_TRACE(backend);
+  for (const Driver& driver : kDrivers) {
+    SCOPED_TRACE(std::string(driver.backend) + " " + driver.topology);
     CancellationToken token;
     CancelAtRound trigger(&token, 2, CancellationToken::Reason::kShutdown);
     try {
-      (void)scenario::run_scenario(slow_spec(backend), &trigger, &token);
+      (void)scenario::run_scenario(slow_spec(driver), &trigger, &token);
       FAIL() << "expected CancelledError";
     } catch (const CancelledError& e) {
       EXPECT_EQ(e.reason(), CancellationToken::Reason::kShutdown);
@@ -99,13 +107,13 @@ TEST(Cancellation, MidRunCancelThrowsAfterTheRegionJoins) {
 TEST(Cancellation, UnfiredTokenIsABitwiseNoOp) {
   // Threading a token that never fires must not change a single sample —
   // the cancellation check is a pure read on the hot path.
-  for (const char* backend : {"count", "agent", "graph"}) {
-    SCOPED_TRACE(backend);
+  for (const Driver& driver : kDrivers) {
+    SCOPED_TRACE(std::string(driver.backend) + " " + driver.topology);
     ScenarioSpec spec = ScenarioSpec::parse(
         "dynamics=3-majority workload=bias:2c n=2000 k=4 trials=6 max_rounds=5000 "
         "seed=7");
-    spec.backend = backend;
-    if (std::string(backend) == "graph") spec.topology = "regular:8";
+    spec.backend = driver.backend;
+    spec.topology = driver.topology;
     CancellationToken token;
     const scenario::ScenarioResult with = scenario::run_scenario(spec, nullptr, &token);
     const scenario::ScenarioResult without = scenario::run_scenario(spec);
@@ -124,7 +132,7 @@ TEST(Cancellation, CancelledRunsProduceNoSummary) {
   // nothing reaches the caller except the exception.
   CancellationToken token;
   CancelAtRound trigger(&token, 3, CancellationToken::Reason::kDeadline);
-  EXPECT_THROW((void)scenario::run_scenario(slow_spec("count"), &trigger, &token),
+  EXPECT_THROW((void)scenario::run_scenario(slow_spec(kDrivers[0]), &trigger, &token),
                CancelledError);
 }
 

@@ -5,12 +5,14 @@
 //  1. Golden fixed-seed trajectories. The exact count vectors below were
 //     recorded from the PRE-workspace-refactor stepper (the seed tree's
 //     backend.cpp) and must never drift: the workspace/sparse-kernel path,
-//     the frozen dense reference, and the agent backend all have to keep
-//     reproducing them for these seeds.
+//     the frozen dense reference, and the per-agent clique (the graph
+//     engine's strict pipeline on AgentGraph::complete with the unshuffled
+//     layout; the Agent* goldens were recorded from the agent backend it
+//     replaced) all have to keep reproducing them for these seeds.
 //  2. Workspace path == dense reference path on the same generator state,
 //     for every dynamics with an exact law (sparse or not), round by round.
-//  3. Thread-count independence: run_trials and AgentSimulation return
-//     identical results under 1, 4, and max OpenMP threads.
+//  3. Thread-count independence: run_trials and the per-agent clique
+//     return identical results under 1, 4, and max OpenMP threads.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -23,6 +25,7 @@
 #include "core/trials.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
+#include "graph/agent_graph.hpp"
 #include "support/check.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
@@ -87,15 +90,19 @@ TEST(GoldenTrajectories, CountBasedUndecidedSparseK301) {
 
 TEST(GoldenTrajectories, AgentMajority) {
   ThreeMajority dyn;
-  AgentSimulation sim(dyn, Configuration({700, 200, 100}), 2024);
+  const graph::AgentGraph clique = graph::AgentGraph::complete(1000);
+  graph::GraphSimulation sim(dyn, clique, Configuration({700, 200, 100}), 2024,
+                             /*shuffle_layout=*/false);
   for (int r = 0; r < 2; ++r) sim.step();
   EXPECT_EQ(counts_of(sim.configuration()), (std::vector<count_t>{918, 53, 29}));
 }
 
 TEST(GoldenTrajectories, AgentUndecided) {
   UndecidedState dyn;
-  AgentSimulation sim(
-      dyn, UndecidedState::extend_with_undecided(Configuration({600, 250, 150})), 31337);
+  const graph::AgentGraph clique = graph::AgentGraph::complete(1000);
+  graph::GraphSimulation sim(
+      dyn, clique, UndecidedState::extend_with_undecided(Configuration({600, 250, 150})),
+      31337, /*shuffle_layout=*/false);
   for (int r = 0; r < 5; ++r) sim.step();
   EXPECT_EQ(counts_of(sim.configuration()), (std::vector<count_t>{911, 5, 3, 81}));
 }
@@ -235,10 +242,11 @@ TEST(ThreadInvariance, AgentTrajectoryIdenticalAcrossThreadCounts) {
   UndecidedState dyn;
   const Configuration start =
       UndecidedState::extend_with_undecided(Configuration({500, 300, 200}));
+  const graph::AgentGraph clique = graph::AgentGraph::complete(start.n());
   std::vector<std::vector<count_t>> baseline;
   {
     ThreadCountGuard guard(1);
-    AgentSimulation sim(dyn, start, 4096);
+    graph::GraphSimulation sim(dyn, clique, start, 4096, /*shuffle_layout=*/false);
     for (int r = 0; r < 10; ++r) {
       sim.step();
       baseline.push_back(counts_of(sim.configuration()));
@@ -246,7 +254,7 @@ TEST(ThreadInvariance, AgentTrajectoryIdenticalAcrossThreadCounts) {
   }
   for (const int threads : {4, omp_get_max_threads()}) {
     ThreadCountGuard guard(threads);
-    AgentSimulation sim(dyn, start, 4096);
+    graph::GraphSimulation sim(dyn, clique, start, 4096, /*shuffle_layout=*/false);
     for (int r = 0; r < 10; ++r) {
       sim.step();
       ASSERT_EQ(counts_of(sim.configuration()), baseline[static_cast<std::size_t>(r)])

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/hplurality.hpp"
 #include "core/majority.hpp"
 #include "core/trials.hpp"
 #include "core/undecided.hpp"
@@ -41,8 +44,6 @@ TEST(ExecutionPlan, DecisionTable) {
       // At least two threads per trial: the rounds get the team.
       {1, 4, TrialDriver::Graph, kLarge, Parallelism::Rounds},
       {2, 4, TrialDriver::Graph, kLarge, Parallelism::Rounds},
-      {1, 4, TrialDriver::Agent, kLarge, Parallelism::Rounds},
-      {2, 4, TrialDriver::Agent, kLarge, Parallelism::Rounds},
       {1, 4, TrialDriver::Graph, kRoundsMinNodes, Parallelism::Rounds},
       {1, 2, TrialDriver::Graph, kLarge, Parallelism::Rounds},
       {4, 8, TrialDriver::Graph, kLarge, Parallelism::Rounds},
@@ -50,11 +51,9 @@ TEST(ExecutionPlan, DecisionTable) {
       // worse than independent trials (trials = 3 lost on both measured
       // cells at 4 threads).
       {3, 4, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {3, 4, TrialDriver::Agent, kLarge, Parallelism::Trials},
       {5, 8, TrialDriver::Graph, kLarge, Parallelism::Trials},
       {4, 4, TrialDriver::Graph, kLarge, Parallelism::Trials},
       {8, 4, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {8, 4, TrialDriver::Agent, kLarge, Parallelism::Trials},
       {2048, 4, TrialDriver::Count, kLarge, Parallelism::Trials},
       // A count round has no parallel loop to hand the team to.
       {1, 4, TrialDriver::Count, kLarge, Parallelism::Trials},
@@ -62,7 +61,7 @@ TEST(ExecutionPlan, DecisionTable) {
       // A round too small to pay for its fork/join keeps the trial team.
       {1, 4, TrialDriver::Graph, kSmall, Parallelism::Trials},
       {1, 4, TrialDriver::Graph, kRoundsMinNodes - 1, Parallelism::Trials},
-      {2, 4, TrialDriver::Agent, kSmall, Parallelism::Trials},
+      {2, 4, TrialDriver::Graph, kSmall, Parallelism::Trials},
       // A budget of one (e.g. inside a sweep's cells team): nothing to split.
       {1, 1, TrialDriver::Graph, kLarge, Parallelism::Trials},
       {8, 1, TrialDriver::Graph, kLarge, Parallelism::Trials},
@@ -166,7 +165,7 @@ CommonTrialOptions forced(Parallelism parallelism, std::uint64_t seed) {
   return options;
 }
 
-TEST(ExecutionPlanInvariance, CountAndAgentDrivers) {
+TEST(ExecutionPlanInvariance, CountDriver) {
   ThreeMajority majority;
   UndecidedState undecided;
   const Configuration start = workloads::additive_bias(2400, 3, 400);
@@ -184,16 +183,6 @@ TEST(ExecutionPlanInvariance, CountAndAgentDrivers) {
       return run_trials(undecided, start_u, options);
     });
   }
-  expect_invariant("agent 3-majority", [&](Parallelism p) {
-    CommonTrialOptions options = forced(p, 13);
-    options.backend = Backend::Agent;
-    return run_trials(majority, start, options);
-  });
-  expect_invariant("agent undecided", [&](Parallelism p) {
-    CommonTrialOptions options = forced(p, 14);
-    options.backend = Backend::Agent;
-    return run_trials(undecided, start_u, options);
-  });
 }
 
 TEST(ExecutionPlanInvariance, GraphDriverEveryEngine) {
@@ -205,6 +194,20 @@ TEST(ExecutionPlanInvariance, GraphDriverEveryEngine) {
   const graph::AgentGraph gossip = graph::make_topology("gossip", n, topo_gen);
   const Configuration start = workloads::additive_bias(n, 3, 500);
   const Configuration start_u = UndecidedState::extend_with_undecided(start);
+
+  // The per-agent clique, laid out unshuffled (the clique model for
+  // dynamics without an exact law).
+  const graph::AgentGraph clique = graph::AgentGraph::complete(n);
+  expect_invariant("graph clique 3-majority strict", [&](Parallelism p) {
+    CommonTrialOptions options = forced(p, 13);
+    options.shuffle_layout = false;
+    return graph::run_graph_trials(majority, clique, start, options);
+  });
+  expect_invariant("graph clique undecided strict", [&](Parallelism p) {
+    CommonTrialOptions options = forced(p, 14);
+    options.shuffle_layout = false;
+    return graph::run_graph_trials(undecided, clique, start_u, options);
+  });
 
   for (const graph::AgentGraph* graph : {&regular, &gossip}) {
     const std::string topo = graph == &regular ? "regular:6" : "gossip";
@@ -221,6 +224,46 @@ TEST(ExecutionPlanInvariance, GraphDriverEveryEngine) {
       options.mode = EngineMode::Batched;
       return graph::run_graph_trials(undecided, *graph, start_u, options);
     });
+  }
+}
+
+TEST(ExecutionPlanInvariance, GraphStopPredicates) {
+  // Stop predicates on the graph driver: a 20-plurality clique (no exact
+  // law at k = 16, so the per-agent path) and regular:8, each stopped by
+  // m-plurality and by any-reaches under every parallelism.
+  const HPlurality plurality20(20);
+  ThreeMajority majority;
+  const count_t n = 3000;
+  rng::Xoshiro256pp topo_gen(22);
+  const graph::AgentGraph regular = graph::make_topology("regular:8", n, topo_gen);
+  const graph::AgentGraph clique = graph::AgentGraph::complete(n);
+  const Configuration start16 = workloads::additive_bias(n, 16, 600);
+  const Configuration start3 = workloads::additive_bias(n, 3, 500);
+  // 20-plurality reaches consensus within a round or two, so its
+  // m-plurality threshold must be met a round earlier: half the nodes.
+  struct Cell {
+    std::string name;
+    const Dynamics* dynamics;
+    const graph::AgentGraph* graph;
+    const Configuration* start;
+    count_t m;
+  };
+  const Cell cells[] = {{"20-plurality clique", &plurality20, &clique, &start16, n / 2},
+                        {"3-majority regular:8", &majority, &regular, &start3, 300}};
+  for (const Cell& cell : cells) {
+    const std::pair<std::string, std::function<bool(const Configuration&, round_t)>>
+        stops[] = {{"m-plurality:" + std::to_string(cell.m), stop_at_m_plurality(cell.m, 0)},
+                   {"any-reaches:2000", stop_when_any_color_reaches(2000, cell.start->k())}};
+    for (const auto& [stop_name, predicate] : stops) {
+      expect_invariant(cell.name + " " + stop_name, [&](Parallelism p) {
+        CommonTrialOptions options = forced(p, 41);
+        options.stop_predicate = predicate;
+        const TrialSummary summary =
+            graph::run_graph_trials(*cell.dynamics, *cell.graph, *cell.start, options);
+        EXPECT_EQ(summary.predicate_stops, kTrials) << cell.name << " " << stop_name;
+        return summary;
+      });
+    }
   }
 }
 

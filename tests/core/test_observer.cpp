@@ -61,12 +61,10 @@ ProbeObserver make_probe(std::uint64_t trials) {
 }
 
 /// One count-path cell: observer-off vs observer-on must match bitwise.
-void check_count_cell(Backend backend, EngineMode mode, const Adversary* adversary,
-                      const char* label) {
+void check_count_cell(EngineMode mode, const Adversary* adversary, const char* label) {
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(4000, 4, 400);
   CommonTrialOptions options = base_options(8, 99);
-  options.backend = backend;
   options.mode = mode;
   options.adversary = adversary;
   if (adversary != nullptr) options.max_rounds = 200;  // some adversaries block consensus
@@ -79,14 +77,13 @@ void check_count_cell(Backend backend, EngineMode mode, const Adversary* adversa
   expect_same_summary(on, off);
 }
 
-TEST(ObserverEquivalence, CountAndAgentGrid) {
+TEST(ObserverEquivalence, CountGrid) {
   const BoostRunnerUp boost(25);
   const FeedWeakest feed(10);
-  check_count_cell(Backend::CountBased, EngineMode::Strict, nullptr, "count/strict");
-  check_count_cell(Backend::CountBased, EngineMode::Batched, nullptr, "count/batched");
-  check_count_cell(Backend::CountBased, EngineMode::Strict, &boost, "count/strict/boost");
-  check_count_cell(Backend::CountBased, EngineMode::Batched, &feed, "count/batched/feed");
-  check_count_cell(Backend::Agent, EngineMode::Strict, nullptr, "agent/strict");
+  check_count_cell(EngineMode::Strict, nullptr, "count/strict");
+  check_count_cell(EngineMode::Batched, nullptr, "count/batched");
+  check_count_cell(EngineMode::Strict, &boost, "count/strict/boost");
+  check_count_cell(EngineMode::Batched, &feed, "count/batched/feed");
 }
 
 TEST(ObserverEquivalence, CountStopPredicate) {
@@ -100,6 +97,19 @@ TEST(ObserverEquivalence, CountStopPredicate) {
   expect_same_summary(run_trials(dyn, start, options), off);
 }
 
+TEST(ObserverEquivalence, GraphStopPredicate) {
+  ThreeMajority dyn;
+  const Configuration start = workloads::additive_bias(4000, 4, 400);
+  const graph::AgentGraph clique = graph::AgentGraph::complete(start.n());
+  CommonTrialOptions options = base_options(8, 7);
+  options.stop_predicate = stop_at_m_plurality(800, 0);
+  const TrialSummary off = run_graph_trials(dyn, clique, start, options);
+  ASSERT_GT(off.predicate_stops, 0u);
+  ProbeObserver probe = make_probe(options.trials);
+  options.observer = &probe;
+  expect_same_summary(run_graph_trials(dyn, clique, start, options), off);
+}
+
 TEST(ObserverEquivalence, GraphGrid) {
   const RandomCorruption random_adv(15);
   struct Cell {
@@ -111,6 +121,7 @@ TEST(ObserverEquivalence, GraphGrid) {
       {"regular:8", EngineMode::Strict, nullptr},
       {"regular:8", EngineMode::Batched, nullptr},
       {"torus:40x50", EngineMode::Strict, &random_adv},
+      {"clique", EngineMode::Strict, nullptr},
       {"clique", EngineMode::Batched, &random_adv},
   };
   UndecidedState dyn;
@@ -221,9 +232,8 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
     SequenceObserver seq(5);
     CommonTrialOptions options = base_options(5, 3);
     options.parallelism = Parallelism::Rounds;
-    options.backend = Backend::Agent;
     options.observer = &seq;
-    (void)run_trials(dyn, start, options);
+    (void)run_graph_trials(dyn, graph::AgentGraph::complete(start.n()), start, options);
     EXPECT_TRUE(seq.all_complete());
   }
   {

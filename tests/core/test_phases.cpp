@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/majority.hpp"
+#include "core/observer.hpp"
 #include "core/workloads.hpp"
 #include "support/check.hpp"
 
@@ -109,12 +110,13 @@ TEST(PhaseAnalyze, RealTrajectoryHasCleanPhases) {
   const auto s = static_cast<count_t>(2.0 * workloads::critical_bias_scale(n, 6));
   rng::Xoshiro256pp gen(5);
   RunOptions options;
-  options.record_trajectory = true;
+  TrajectoryObserver trajectory;
+  options.observer = &trajectory;
   const RunResult result =
       run_dynamics(dynamics, workloads::additive_bias(n, 6, s), options, gen);
   ASSERT_EQ(result.reason, StopReason::ColorConsensus);
   const double polylog = std::pow(std::log(static_cast<double>(n)), 2.0);
-  const PhaseReport report = analyze_phases(result.trajectory, n, polylog);
+  const PhaseReport report = analyze_phases(trajectory.points(), n, polylog);
   EXPECT_GT(report.bias_growth_steps, 0u);
   EXPECT_LT(report.bias_violation_rate(), 0.1);
   EXPECT_LT(report.decay_violation_rate(), 0.1);

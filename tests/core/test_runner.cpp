@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hplurality.hpp"
 #include "core/majority.hpp"
+#include "core/observer.hpp"
+#include "core/trials.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
+#include "graph/graph_trials.hpp"
 #include "support/check.hpp"
 
 namespace plurality {
@@ -49,15 +53,41 @@ TEST(Runner, TrajectoryRecordsEveryRound) {
   rng::Xoshiro256pp gen(4);
   const Configuration start = workloads::additive_bias(5000, 3, 1500);
   RunOptions options;
-  options.record_trajectory = true;
+  TrajectoryObserver recorder;
+  options.observer = &recorder;
   const RunResult result = run_dynamics(dynamics, start, options, gen);
-  ASSERT_EQ(result.trajectory.size(), result.rounds + 1);
-  EXPECT_EQ(result.trajectory.front().round, 0u);
-  EXPECT_EQ(result.trajectory.front().plurality_count, start.plurality_count(3));
-  EXPECT_EQ(result.trajectory.back().minority_mass, 0u);
-  for (std::size_t i = 0; i < result.trajectory.size(); ++i) {
-    EXPECT_EQ(result.trajectory[i].round, i);
+  const std::vector<TrajectoryPoint>& trajectory = recorder.points();
+  ASSERT_EQ(trajectory.size(), result.rounds + 1);
+  EXPECT_EQ(trajectory.front().round, 0u);
+  EXPECT_EQ(trajectory.front().plurality_count, start.plurality_count(3));
+  EXPECT_EQ(trajectory.back().minority_mass, 0u);
+  for (std::size_t i = 0; i < trajectory.size(); ++i) {
+    EXPECT_EQ(trajectory[i].round, i);
   }
+  EXPECT_EQ(recorder.reason(), result.reason);
+  EXPECT_EQ(recorder.rounds(), result.rounds);
+  EXPECT_EQ(recorder.plurality_won(), result.plurality_won);
+}
+
+TEST(Runner, TrajectoryObserverRecordsGraphTrialZero) {
+  // The same observer on the graph driver records the same columns, from
+  // round 0 through the absorbing round, for trial 0 only.
+  ThreeMajority dynamics;
+  const Configuration start = workloads::additive_bias(5000, 3, 1500);
+  CommonTrialOptions options;
+  options.trials = 3;
+  options.seed = 4;
+  TrajectoryObserver recorder;
+  options.observer = &recorder;
+  const TrialSummary summary = graph::run_graph_trials(
+      dynamics, graph::AgentGraph::complete(start.n()), start, options);
+  ASSERT_EQ(summary.consensus_count, 3u);
+  const std::vector<TrajectoryPoint>& trajectory = recorder.points();
+  ASSERT_EQ(trajectory.size(), recorder.rounds() + 1);
+  EXPECT_EQ(trajectory.front().plurality_count, start.plurality_count(3));
+  EXPECT_EQ(trajectory.back().minority_mass, 0u);
+  EXPECT_EQ(recorder.reason(), StopReason::ColorConsensus);
+  EXPECT_TRUE(recorder.plurality_won());
 }
 
 TEST(Runner, PluralityWonFlagTracksInitialPlurality) {
@@ -101,15 +131,18 @@ TEST(Runner, MPluralityPredicate) {
   EXPECT_FALSE(predicate(Configuration({89, 11}), 1));
 }
 
-TEST(Runner, AgentBackendReachesConsensusToo) {
+TEST(Runner, CliqueAgentsReachConsensusToo) {
+  // The per-agent path: the graph engine on the implicit clique.
   ThreeMajority dynamics;
-  rng::Xoshiro256pp gen(8);
   const Configuration start = workloads::additive_bias(2000, 3, 800);
-  RunOptions options;
-  options.backend = Backend::Agent;
-  const RunResult result = run_dynamics(dynamics, start, options, gen);
-  EXPECT_EQ(result.reason, StopReason::ColorConsensus);
-  EXPECT_TRUE(result.plurality_won);
+  CommonTrialOptions options;
+  options.trials = 1;
+  options.seed = 8;
+  options.shuffle_layout = false;
+  const TrialSummary summary = graph::run_graph_trials(
+      dynamics, graph::AgentGraph::complete(start.n()), start, options);
+  EXPECT_EQ(summary.consensus_count, 1u);
+  EXPECT_EQ(summary.plurality_wins, 1u);
 }
 
 TEST(Runner, UndecidedStateSpaceRunsViaExtendedConfig) {
@@ -122,15 +155,15 @@ TEST(Runner, UndecidedStateSpaceRunsViaExtendedConfig) {
   EXPECT_LT(result.winner, 3u);  // a color, not the undecided state
 }
 
-TEST(Runner, AdversaryRequiresCountBackend) {
-  ThreeMajority dynamics;
+TEST(Runner, DynamicsWithoutExactLawRejected) {
+  // run_dynamics steps counts by the exact law; a dynamics without one at
+  // this k runs per agent (graph::run_graph_trials on the clique) instead.
+  HPlurality dynamics(20);
   rng::Xoshiro256pp gen(10);
-  BoostRunnerUp adversary(5);
-  RunOptions options;
-  options.backend = Backend::Agent;
-  options.adversary = &adversary;
-  EXPECT_THROW(run_dynamics(dynamics, Configuration({50, 50}), options, gen),
-               CheckError);
+  ASSERT_FALSE(dynamics.has_exact_law(16));
+  EXPECT_THROW(
+      run_dynamics(dynamics, workloads::additive_bias(1000, 16, 100), RunOptions{}, gen),
+      CheckError);
 }
 
 TEST(Runner, EmptyConfigurationRejected) {

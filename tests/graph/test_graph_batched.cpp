@@ -2,9 +2,10 @@
 // (EngineMode::Batched, step_batched.cpp).
 //
 // Five pins:
-//  * SIMD == scalar, bitwise: the fused/vector paths must reproduce the
-//    scalar stage-split pipeline word for word — SIMD availability can
-//    change speed, never results.
+//  * SIMD == scalar, bitwise: every fused/vector table the host can run
+//    (AVX-512 and AVX2 alike) must reproduce the scalar stage-split
+//    pipeline word for word — SIMD availability can change speed, never
+//    results.
 //  * Batch-size invariance: the tile size is a pure performance knob; the
 //    (seed, round, node, draw) randomness addressing makes results
 //    independent of it by construction, and this test keeps it that way.
@@ -100,7 +101,12 @@ std::vector<Scenario> scenarios() {
 }
 
 TEST(GraphBatched, SimdMatchesScalarBitwise) {
-  if (!batched_simd_active()) {
+  // Every table the host can run, not just the best: capping selects each.
+  std::vector<simd::Level> levels;
+  for (const simd::Level level : {simd::Level::Avx512, simd::Level::Avx2}) {
+    if (simd::host_supports(level)) levels.push_back(level);
+  }
+  if (levels.empty()) {
     GTEST_SKIP() << "no SIMD kernels on this host; scalar path is the only path";
   }
   ThreeMajority majority;
@@ -119,12 +125,17 @@ TEST(GraphBatched, SimdMatchesScalarBitwise) {
           static_cast<const Dynamics*>(&undecided),
           static_cast<const Dynamics*>(&median), static_cast<const Dynamics*>(&hplur)}) {
       const Configuration& s0 = dynamics == &undecided ? start_undecided : start;
-      set_batched_simd_enabled(true);
-      const auto simd = batched_trajectory(*dynamics, scenario.graph, s0, 77, 4);
-      set_batched_simd_enabled(false);
+      set_batched_simd_cap(simd::Level::Scalar);
       const auto scalar = batched_trajectory(*dynamics, scenario.graph, s0, 77, 4);
-      set_batched_simd_enabled(true);
-      ASSERT_EQ(simd, scalar) << scenario.name << " / " << dynamics->name();
+      for (const simd::Level level : levels) {
+        set_batched_simd_cap(level);
+        const std::string_view isa = batched_simd_isa();
+        ASSERT_EQ(isa, level == simd::Level::Avx512 ? "avx512" : "avx2");
+        const auto vectorized = batched_trajectory(*dynamics, scenario.graph, s0, 77, 4);
+        ASSERT_EQ(vectorized, scalar)
+            << scenario.name << " / " << dynamics->name() << " / " << isa;
+      }
+      set_batched_simd_cap(simd::Level::Avx512);
     }
   }
 }
@@ -139,7 +150,7 @@ TEST(GraphBatched, TileSizeNeverChangesResults) {
 
   // Force the scalar pipeline so the tile loop actually runs, then sweep
   // tile sizes including awkward ones.
-  set_batched_simd_enabled(false);
+  set_batched_simd_cap(simd::Level::Scalar);
   const auto baseline = batched_trajectory(majority, graph, start, 9, 4);
   const auto baseline_u = batched_trajectory(undecided, graph, start_undecided, 9, 4);
   for (const std::uint32_t tile : {1U, 7U, 64U, 129U, 4096U}) {
@@ -153,11 +164,10 @@ TEST(GraphBatched, TileSizeNeverChangesResults) {
   }
   // And the SIMD path (fused kernels ignore tiling) must agree with every
   // scalar tiling.
+  set_batched_simd_cap(simd::Level::Avx512);
   if (batched_simd_active()) {
-    set_batched_simd_enabled(true);
     EXPECT_EQ(batched_trajectory(majority, graph, start, 9, 4), baseline);
   }
-  set_batched_simd_enabled(true);
 }
 
 #if defined(PLURALITY_HAVE_OPENMP)

@@ -6,15 +6,20 @@
 // count-level move.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/adversary.hpp"
 #include "core/majority.hpp"
+#include "core/observer.hpp"
+#include "core/registry.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
+#include "graph/topology_registry.hpp"
 #include "support/check.hpp"
 
 namespace plurality::graph {
@@ -55,6 +60,86 @@ TEST(GraphTrials, RoundLimitIsReported) {
   EXPECT_EQ(s.round_limit_hits, 8u);
   EXPECT_EQ(s.consensus_count, 0u);
   EXPECT_TRUE(s.round_samples.empty());
+}
+
+/// Records each trial's stop reason and round count as end_trial reports
+/// them (serial trials only: plain vectors, one slot per trial).
+class StopRecorder final : public RoundObserver {
+ public:
+  explicit StopRecorder(std::uint64_t trials) : reasons_(trials), rounds_(trials) {}
+  void begin_trial(std::uint64_t, const Configuration&, state_t) override {}
+  void observe_round(std::uint64_t, round_t, const Configuration&, state_t) override {}
+  void end_trial(std::uint64_t trial, StopReason reason, round_t rounds,
+                 const Configuration&, state_t) override {
+    reasons_[trial] = reason;
+    rounds_[trial] = rounds;
+  }
+  std::vector<StopReason> reasons_;
+  std::vector<round_t> rounds_;
+};
+
+TEST(GraphTrials, StopPredicatesStopWithPredicateMet) {
+  // m-plurality and any-reaches on the graph driver: a 20-plurality clique
+  // (no exact law at k = 16: the per-agent path) and 3-majority on
+  // regular:8. Every trial stops on the predicate, is counted in
+  // predicate_stops, and contributes its stop round to the round samples.
+  const count_t n = 3000;
+  const std::unique_ptr<Dynamics> plurality20 = make_dynamics("20-plurality");
+  ThreeMajority majority;
+  rng::Xoshiro256pp topo_gen(8);
+  const AgentGraph clique = AgentGraph::complete(n);
+  const AgentGraph regular = make_topology("regular:8", n, topo_gen);
+  const Configuration start16 = workloads::additive_bias(n, 16, 600);
+  const Configuration start3 = workloads::additive_bias(n, 3, 500);
+  struct Case {
+    const char* name;
+    const Dynamics* dynamics;
+    const AgentGraph* graph;
+    const Configuration* start;
+    std::function<bool(const Configuration&, round_t)> stop;
+  };
+  const Case cases[] = {
+      {"20-plurality clique m-plurality", plurality20.get(), &clique, &start16,
+       stop_at_m_plurality(n / 2, 0)},
+      {"20-plurality clique any-reaches", plurality20.get(), &clique, &start16,
+       stop_when_any_color_reaches(1500, 16)},
+      {"3-majority regular:8 m-plurality", &majority, &regular, &start3,
+       stop_at_m_plurality(300, 0)},
+      {"3-majority regular:8 any-reaches", &majority, &regular, &start3,
+       stop_when_any_color_reaches(2000, 3)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StopRecorder recorder(5);
+    CommonTrialOptions options;
+    options.trials = 5;
+    options.seed = 17;
+    options.parallelism = Parallelism::Rounds;  // serial trials for the recorder
+    options.stop_predicate = c.stop;
+    options.observer = &recorder;
+    const TrialSummary s = run_graph_trials(*c.dynamics, *c.graph, *c.start, options);
+    EXPECT_EQ(s.predicate_stops, 5u);
+    EXPECT_EQ(s.consensus_count, 0u);
+    EXPECT_EQ(s.rounds.count(), 5u);
+    for (std::uint64_t t = 0; t < 5; ++t) {
+      EXPECT_EQ(recorder.reasons_[t], StopReason::PredicateMet) << "trial " << t;
+      EXPECT_GE(recorder.rounds_[t], 1u) << "trial " << t;
+    }
+  }
+}
+
+TEST(GraphTrials, StopPredicateIsCheckedAtRoundZero) {
+  // As on the count path: a start that already satisfies the predicate
+  // stops before the first round.
+  ThreeMajority dyn;
+  const AgentGraph graph = AgentGraph::from_topology(cycle(200));
+  CommonTrialOptions options;
+  options.trials = 4;
+  options.seed = 3;
+  options.stop_predicate = stop_when_any_color_reaches(100, 2);
+  const TrialSummary s = run_graph_trials(dyn, graph, workloads::balanced(200, 2), options);
+  EXPECT_EQ(s.predicate_stops, 4u);
+  EXPECT_EQ(s.rounds.max(), 0.0);
 }
 
 TEST(GraphTrials, FactoryReceivesTrialIndex) {

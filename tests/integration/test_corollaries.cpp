@@ -6,6 +6,7 @@
 
 #include "core/adversary.hpp"
 #include "core/majority.hpp"
+#include "core/observer.hpp"
 #include "core/phases.hpp"
 #include "core/trials.hpp"
 #include "core/workloads.hpp"
@@ -91,7 +92,8 @@ TEST(Corollaries, C4_BiasNeverFallsBelowStartUnderSmallF) {
   rng::Xoshiro256pp gen(13);
   RunOptions options;
   options.adversary = &adversary;
-  options.record_trajectory = true;
+  TrajectoryObserver trajectory;
+  options.observer = &trajectory;
   options.max_rounds = 5'000;
   // Full consensus is impossible under a per-round adversary; stop once all
   // but 4F nodes support the plurality.
@@ -99,7 +101,7 @@ TEST(Corollaries, C4_BiasNeverFallsBelowStartUnderSmallF) {
   const RunResult result =
       run_dynamics(dynamics, workloads::additive_bias(n, 3, s), options, gen);
   ASSERT_EQ(result.reason, StopReason::PredicateMet);
-  for (const auto& pt : result.trajectory) {
+  for (const auto& pt : trajectory.points()) {
     EXPECT_GE(pt.bias + 2 * adversary.budget(), s) << "round " << pt.round;
   }
 }
@@ -116,11 +118,12 @@ TEST(Corollaries, PhaseDurationsMatchTheoremOneBudget) {
   PhaseReport total;
   for (int trial = 0; trial < 5; ++trial) {
     RunOptions options;
-    options.record_trajectory = true;
+    TrajectoryObserver trajectory;
+    options.observer = &trajectory;
     const RunResult result =
         run_dynamics(dynamics, workloads::additive_bias(n, k, s), options, gen);
     ASSERT_EQ(result.reason, StopReason::ColorConsensus);
-    total.merge(analyze_phases(result.trajectory, n, ln_n * ln_n));
+    total.merge(analyze_phases(trajectory.points(), n, ln_n * ln_n));
   }
   EXPECT_LT(total.rounds_phase1.mean(), 10.0 * k * ln_n);
   EXPECT_LT(total.rounds_phase2.mean(), 5.0 * ln_n);

@@ -1,5 +1,6 @@
 // Cross-validation across independent implementations of the same process:
-// count-based vs agent over full runs, mean-field vs simulation averages,
+// count-based vs per-agent (the graph engine on the implicit clique) over
+// full runs, mean-field vs simulation averages,
 // and exact Markov win probabilities vs Monte Carlo for k = 3.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include "core/median.hpp"
 #include "core/trials.hpp"
 #include "core/workloads.hpp"
+#include "graph/agent_graph.hpp"
+#include "graph/graph_trials.hpp"
 #include "stats/chi_square.hpp"
 #include "stats/summary.hpp"
 
@@ -33,8 +36,9 @@ TEST(CrossValidation, FullRunWinRatesAgreeAcrossBackends) {
 
   CommonTrialOptions agent_options = count_options;
   agent_options.seed = 2;
-  agent_options.backend = Backend::Agent;
-  const TrialSummary agent_summary = run_trials(dynamics, start, agent_options);
+  agent_options.shuffle_layout = false;
+  const TrialSummary agent_summary = graph::run_graph_trials(
+      dynamics, graph::AgentGraph::complete(start.n()), start, agent_options);
 
   // 99.9% Wilson intervals must overlap.
   const auto ci_count =
@@ -53,8 +57,9 @@ TEST(CrossValidation, FullRunRoundsAgreeAcrossBackends) {
   options.seed = 3;
   const TrialSummary count_summary = run_trials(dynamics, start, options);
   options.seed = 4;
-  options.backend = Backend::Agent;
-  const TrialSummary agent_summary = run_trials(dynamics, start, options);
+  options.shuffle_layout = false;
+  const TrialSummary agent_summary = graph::run_graph_trials(
+      dynamics, graph::AgentGraph::complete(start.n()), start, options);
   const double diff = std::fabs(count_summary.rounds.mean() - agent_summary.rounds.mean());
   const double joint_sem = std::sqrt(count_summary.rounds.sem() * count_summary.rounds.sem() +
                                      agent_summary.rounds.sem() * agent_summary.rounds.sem());
@@ -138,10 +143,10 @@ TEST(CrossValidation, ExactK3MatchesMonteCarloForMedian) {
   EXPECT_LT(color0_rate, 0.5);
 }
 
-TEST(CrossValidation, HPluralityExactLawMatchesAgentBackend) {
+TEST(CrossValidation, HPluralityExactLawMatchesGraphClique) {
   // h = 5 with k = 3 uses the enumeration law in the count backend; the
-  // agent backend samples the rule directly. One-round distributions of
-  // the leading color must agree.
+  // graph engine's clique samples the rule per agent. One-round
+  // distributions of the leading color must agree.
   HPlurality dynamics(5);
   const count_t n = 120;
   const Configuration start({60, 35, 25});
@@ -153,8 +158,10 @@ TEST(CrossValidation, HPluralityExactLawMatchesAgentBackend) {
     step_count_based(dynamics, c, gen);
     ++count_hist[c.at(0)];
   }
+  const graph::AgentGraph clique = graph::AgentGraph::complete(n);
   for (int t = 0; t < kTrials; ++t) {
-    AgentSimulation sim(dynamics, start, 70000 + t);
+    graph::GraphSimulation sim(dynamics, clique, start, 70000 + t,
+                               /*shuffle_layout=*/false);
     sim.step();
     ++agent_hist[sim.configuration().at(0)];
   }

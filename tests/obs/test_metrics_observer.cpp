@@ -50,11 +50,10 @@ CommonTrialOptions base_options(std::uint64_t trials, std::uint64_t seed) {
 }
 
 /// One grid cell: metrics-off vs metrics-on must match bitwise.
-void check_cell(Backend backend, EngineMode mode, const char* label) {
+void check_cell(EngineMode mode, const char* label) {
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(4000, 4, 400);
   CommonTrialOptions options = base_options(8, 99);
-  options.backend = backend;
   options.mode = mode;
   const TrialSummary off = run_trials(dyn, start, options);
 
@@ -66,10 +65,9 @@ void check_cell(Backend backend, EngineMode mode, const char* label) {
   expect_same_summary(on, off);
 }
 
-TEST(MetricsObserver, BitwiseIdenticalAcrossBackendEngineGrid) {
-  check_cell(Backend::CountBased, EngineMode::Strict, "count/strict");
-  check_cell(Backend::CountBased, EngineMode::Batched, "count/batched");
-  check_cell(Backend::Agent, EngineMode::Strict, "agent/strict");
+TEST(MetricsObserver, BitwiseIdenticalAcrossCountEngines) {
+  check_cell(EngineMode::Strict, "count/strict");
+  check_cell(EngineMode::Batched, "count/batched");
 }
 
 TEST(MetricsObserver, BitwiseIdenticalOnGraphTrials) {
@@ -77,6 +75,17 @@ TEST(MetricsObserver, BitwiseIdenticalOnGraphTrials) {
   const Configuration start = workloads::additive_bias(2000, 3, 300);
   rng::Xoshiro256pp topo_gen(13);
   const graph::AgentGraph graph = graph::make_topology("regular:8", 2000, topo_gen);
+  {
+    // The per-agent clique: the strict pipeline on the implicit graph.
+    SCOPED_TRACE("graph/clique/strict");
+    const graph::AgentGraph clique = graph::AgentGraph::complete(start.n());
+    CommonTrialOptions options = base_options(6, 41);
+    const TrialSummary off = run_graph_trials(dyn, clique, start, options);
+    MetricsRegistry registry;
+    MetricsObserver observer(registry);
+    options.observer = &observer;
+    expect_same_summary(run_graph_trials(dyn, clique, start, options), off);
+  }
   for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
     SCOPED_TRACE(mode == EngineMode::Strict ? "graph/strict" : "graph/batched");
     CommonTrialOptions options = base_options(6, 41);

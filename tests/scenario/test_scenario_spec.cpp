@@ -116,13 +116,17 @@ TEST(ScenarioSpec, RemovedFieldsAndValuesAreRejectedNamingTheRemoval) {
   const std::string push_needle =
       "engine 'push' was removed; it was bitwise identical to 'batched' — use "
       "engine=batched";
+  const std::string agent_needle =
+      "backend 'agent' was removed; it was bitwise identical to the graph engine on the "
+      "clique";
   const std::vector<Removed> removed = {
       {"graph_layout", "rcm", "'graph_layout' is no longer a spec field"},
       {"graph_layout", "identity", "'graph_layout' is no longer a spec field"},
       {"tile_nodes", "512", "'tile_nodes' is no longer a spec field"},
       {"prefetch_distance", "32", "'prefetch_distance' is no longer a spec field"},
       {"prefetch_distance", "not-a-number", "'prefetch_distance' is no longer a spec field"},
-      {"engine", "push", push_needle}};
+      {"engine", "push", push_needle},
+      {"backend", "agent", agent_needle}};
   for (const auto& [key, value, needle] : removed) {
     const std::string text = "topology=regular:8 " + key + "=" + value;
     EXPECT_NE(message([&] { ScenarioSpec::parse(text).validate(); }).find(needle),
@@ -147,6 +151,14 @@ TEST(ScenarioSpec, RemovedFieldsAndValuesAreRejectedNamingTheRemoval) {
   EXPECT_NE(unknown_engine.find("'strict' or 'batched'"), std::string::npos)
       << unknown_engine;
   EXPECT_EQ(unknown_engine.find("push"), std::string::npos) << unknown_engine;
+  // The same for backends: agent is refused by name on the clique too, and
+  // an unknown backend's hint no longer lists it.
+  EXPECT_NE(message([] { ScenarioSpec::parse("backend=agent").validate(); }).find(agent_needle),
+            std::string::npos);
+  const std::string unknown_backend =
+      message([] { ScenarioSpec::parse("backend=gpu").validate(); });
+  EXPECT_NE(unknown_backend.find("auto/count/graph"), std::string::npos) << unknown_backend;
+  EXPECT_EQ(unknown_backend.find("agent"), std::string::npos) << unknown_backend;
   EXPECT_NE(message([] {
               (void)ScenarioSpec::from_json(io::parse_json(R"({"tile_nodes": 64})"));
             }).find("'tile_nodes' is no longer a spec field"),
@@ -255,49 +267,35 @@ TEST(ScenarioSpec, ValidationCatchesEveryAxis) {
                  s.topology = "ring";
                }).validate(),
                CheckError);
-  EXPECT_THROW(invalid([](ScenarioSpec& s) {
-                 s.backend = "agent";
-                 s.engine = "batched";
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(invalid([](ScenarioSpec& s) {
-                 s.backend = "agent";
-                 s.adversary = "random:5";
-               }).validate(),
-               CheckError);
   EXPECT_THROW(invalid([](ScenarioSpec& s) { s.stop = "sometime"; }).validate(), CheckError);
   EXPECT_THROW(invalid([](ScenarioSpec& s) { s.stop = "m-plurality:"; }).validate(),
-               CheckError);
-  EXPECT_THROW(invalid([](ScenarioSpec& s) {
-                 s.backend = "graph";
-                 s.topology = "ring";
-                 s.stop = "m-plurality:50";
-               }).validate(),
                CheckError);
   EXPECT_THROW(invalid([](ScenarioSpec& s) { s.stop = "any-reaches:1000000"; }).validate(),
                CheckError);  // threshold > n
   EXPECT_NO_THROW(invalid([](ScenarioSpec& s) { s.stop = "m-plurality:50"; }).validate());
+  // Stop predicates run on every driver, the graph driver included.
+  EXPECT_NO_THROW(invalid([](ScenarioSpec& s) {
+                    s.backend = "graph";
+                    s.topology = "ring";
+                    s.stop = "m-plurality:50";
+                  }).validate());
 }
 
-TEST(ScenarioSpec, AutoResolvedAgentConstraintsApply) {
-  // backend=auto routing to the agent backend must enforce the same
-  // constraints as an explicit backend=agent — otherwise the spec passes
-  // validation and the driver's own check fires inside the parallel trial
-  // loop, which aborts the process without a message.
+TEST(ScenarioSpec, NoExactLawCliqueTakesEveryGraphOption) {
+  // A clique spec without an exact law resolves to the graph engine's
+  // per-agent clique under either engine, and that driver hosts
+  // adversaries and stop predicates.
   ScenarioSpec spec;
-  spec.dynamics = "20-plurality";  // no exact law at k = 16 -> auto resolves to agent
+  spec.dynamics = "20-plurality";  // no exact law at k = 16
   spec.k = 16;
   spec.n = 2000;
   spec.adversary = "random:10";
-  EXPECT_THROW(spec.validate(), CheckError);
-  spec.adversary = "none";
-  EXPECT_NO_THROW(spec.validate());
-  // Under the batched engine auto resolves to the graph clique instead,
-  // which does host adversaries.
-  spec.engine = "batched";
-  spec.adversary = "random:10";
-  EXPECT_NO_THROW(spec.validate());
-  EXPECT_EQ(spec.resolved_backend(), "graph");
+  spec.stop = "m-plurality:100";
+  for (const char* engine : {"strict", "batched"}) {
+    spec.engine = engine;
+    EXPECT_NO_THROW(spec.validate()) << engine;
+    EXPECT_EQ(spec.resolved_backend(), "graph") << engine;
+  }
 }
 
 TEST(ScenarioSpec, ResolvedBackend) {
@@ -312,8 +310,8 @@ TEST(ScenarioSpec, ResolvedBackend) {
   spec.topology = "clique";
   spec.dynamics = "20-plurality";  // C(35, 20) law terms at k = 16: no exact law
   spec.k = 16;
-  EXPECT_EQ(spec.resolved_backend(), "agent");
-  spec.engine = "batched";  // the agent backend cannot batch; the graph clique can
+  EXPECT_EQ(spec.resolved_backend(), "graph");  // the per-agent clique
+  spec.engine = "batched";
   EXPECT_EQ(spec.resolved_backend(), "graph");
 
   spec.engine = "strict";

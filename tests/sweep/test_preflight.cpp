@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "scenario/spec.hpp"
+#include "support/check.hpp"
 #include "sweep/preflight.hpp"
 
 namespace plurality::sweep {
@@ -72,14 +74,38 @@ TEST(Preflight, ImplicitIsCheaperThanArenaForSameTopology) {
 }
 
 TEST(Preflight, CoarseOrderingAcrossBackends) {
-  // count << agent <= graph at the same n: the ranking the serial-phase
-  // decision depends on.
+  // count << per-agent clique <= arena graph at the same n: the ranking
+  // the serial-phase decision depends on.
   const auto count = spec_of("topology=clique dynamics=3-majority n=1e6 backend=count");
-  const auto agent = spec_of("topology=clique dynamics=3-majority n=1e6 backend=agent");
+  const auto clique = spec_of("topology=clique dynamics=3-majority n=1e6 backend=graph");
   const auto graph = spec_of("topology=regular:8 n=1e6");
   EXPECT_LT(estimate_cell_memory_bytes(count), std::uint64_t{1} << 22);
-  EXPECT_LT(estimate_cell_memory_bytes(count), estimate_cell_memory_bytes(agent));
-  EXPECT_LE(estimate_cell_memory_bytes(agent), estimate_cell_memory_bytes(graph));
+  EXPECT_LT(estimate_cell_memory_bytes(count), estimate_cell_memory_bytes(clique));
+  EXPECT_LE(estimate_cell_memory_bytes(clique), estimate_cell_memory_bytes(graph));
+}
+
+TEST(Preflight, NoExactLawCliqueIsBilledAsImplicitGraphCell) {
+  // 20-plurality has no exact law at k = 16, so auto runs it per agent on
+  // the graph engine's implicit clique: one byte double buffer (2 B/node
+  // at k <= 256) plus the per-chunk partials — the same bill as any other
+  // implicit graph cell of that n and k.
+  const std::uint64_t n = std::uint64_t{1} << 24;
+  const auto spec = spec_of("dynamics=20-plurality topology=clique n=16777216 k=16 trials=1");
+  ASSERT_EQ(spec.resolved_backend(), "graph");
+  const std::uint64_t clique = estimate_cell_memory_bytes(spec);
+  EXPECT_GE(clique, 2 * n);
+  EXPECT_LT(clique, 3 * n);
+  EXPECT_EQ(clique, estimate_cell_memory_bytes(spec_of(
+                        "dynamics=20-plurality topology=gossip n=16777216 k=16 trials=1")));
+  // The spec's old explicit form is refused by validation, naming the
+  // removal.
+  try {
+    spec_of("dynamics=20-plurality topology=clique n=16777216 k=16 backend=agent").validate();
+    FAIL() << "backend=agent must be rejected";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("backend 'agent' was removed"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Preflight, ByteStateCellsAreBilledTwoBytesPerNode) {
