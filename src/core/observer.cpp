@@ -125,19 +125,19 @@ double ProbeObserver::time_to_m(std::uint64_t trial) const {
 
 void TrajectoryObserver::begin_trial(std::uint64_t trial, const Configuration& start,
                                      state_t num_colors) {
-  if (trial != trial_) return;
+  if (trial != 0) return;
   points_.assign(1, trajectory_point(start, num_colors, 0));
   initial_plurality_ = start.plurality(num_colors);
 }
 
 void TrajectoryObserver::observe_round(std::uint64_t trial, round_t round,
                                        const Configuration& config, state_t num_colors) {
-  if (trial == trial_) points_.push_back(trajectory_point(config, num_colors, round));
+  if (trial == 0) points_.push_back(trajectory_point(config, num_colors, round));
 }
 
 void TrajectoryObserver::end_trial(std::uint64_t trial, StopReason reason, round_t rounds,
                                    const Configuration& final, state_t num_colors) {
-  if (trial != trial_) return;
+  if (trial != 0) return;
   reason_ = reason;
   rounds_ = rounds;
   plurality_won_ = reason == StopReason::ColorConsensus &&

@@ -152,14 +152,12 @@ class ProbeObserver final : public RoundObserver {
 
 /// Records one trial's trajectory, one TrajectoryPoint per round from
 /// round 0, on whichever driver runs it (run_dynamics via
-/// RunOptions::observer, plurality_sim --trajectory). Callbacks for other
-/// trials are ignored. Rows are appended as they arrive, so observed rounds
-/// allocate: meant for single-trial inspection, not for allocation-pinned
-/// runs.
+/// RunOptions::observer, plurality_sim --trajectory). It always records
+/// trial 0; callbacks for other trials are ignored. Rows are appended as
+/// they arrive, so observed rounds allocate: meant for single-trial
+/// inspection, not for allocation-pinned runs.
 class TrajectoryObserver final : public RoundObserver {
  public:
-  explicit TrajectoryObserver(std::uint64_t trial = 0) : trial_(trial) {}
-
   void begin_trial(std::uint64_t trial, const Configuration& start,
                    state_t num_colors) override;
   void observe_round(std::uint64_t trial, round_t round, const Configuration& config,
@@ -175,7 +173,6 @@ class TrajectoryObserver final : public RoundObserver {
   [[nodiscard]] bool plurality_won() const { return plurality_won_; }
 
  private:
-  std::uint64_t trial_;
   std::vector<TrajectoryPoint> points_;
   state_t initial_plurality_ = 0;
   StopReason reason_ = StopReason::RoundLimit;

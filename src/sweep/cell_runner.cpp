@@ -235,8 +235,14 @@ CellScan scan_cell_file(const fs::path& path, const fs::path& quarantine_dir,
       // recompute.
       return CellScan::SpecMismatch;
     }
+    const std::string& resolved_backend = doc.at("spec").at("backend").as_string();
+    if (resolved_backend == "agent") {
+      // Written by the removed agent backend under the same requested
+      // string (backend=auto): a fresh run draws the graph realization.
+      return CellScan::SpecMismatch;
+    }
     cell.metrics = metrics_from_json(doc);
-    cell.resolved_backend = doc.at("spec").at("backend").as_string();
+    cell.resolved_backend = resolved_backend;
     if (const io::JsonValue* retry = doc.get("retry")) {
       cell.attempts = static_cast<std::uint32_t>(retry->at("attempts").as_uint());
       cell.retry_tag = retry->at("stream_tag").as_string();

@@ -97,21 +97,30 @@ TEST(GoldenGraphTrajectories, CliqueMajority) {
 struct EngineVsReferenceCase {
   const Dynamics* dynamics;
   bool extend_undecided;
+  state_t k = 4;
+  count_t nodes = 200;
+  bool shuffle_layout = true;
 };
+
+// `k` colors with an additive bias of a fifth of the nodes toward color 0;
+// the undecided state, when present, starts empty.
+Configuration reference_start(const EngineVsReferenceCase& param) {
+  Configuration start = workloads::additive_bias(param.nodes, param.k, param.nodes / 5);
+  if (param.extend_undecided) start = UndecidedState::extend_with_undecided(start);
+  return start;
+}
 
 class EngineVsReference : public ::testing::TestWithParam<EngineVsReferenceCase> {};
 
 TEST_P(EngineVsReference, BitwiseEqualOnRandomRegular) {
   const auto& param = GetParam();
   rng::Xoshiro256pp topo_gen(42);
-  const Topology topo = random_regular(200, 6, topo_gen);
+  const Topology topo = random_regular(param.nodes, 6, topo_gen);
   const AgentGraph csr = AgentGraph::from_topology(topo);
+  const Configuration start = reference_start(param);
 
-  Configuration start = workloads::additive_bias(200, 4, 40);
-  if (param.extend_undecided) start = UndecidedState::extend_with_undecided(start);
-
-  ReferenceGraphSimulation ref(*param.dynamics, topo, start, 1234);
-  GraphSimulation engine(*param.dynamics, csr, start, 1234);
+  ReferenceGraphSimulation ref(*param.dynamics, topo, start, 1234, param.shuffle_layout);
+  GraphSimulation engine(*param.dynamics, csr, start, 1234, param.shuffle_layout);
   for (int round = 0; round < 25; ++round) {
     ref.step();
     engine.step();
@@ -124,12 +133,11 @@ TEST_P(EngineVsReference, BitwiseEqualOnRandomRegular) {
 
 TEST_P(EngineVsReference, BitwiseEqualOnClique) {
   const auto& param = GetParam();
-  const Topology topo = Topology::complete(200);
-  Configuration start = workloads::additive_bias(200, 4, 40);
-  if (param.extend_undecided) start = UndecidedState::extend_with_undecided(start);
+  const Topology topo = Topology::complete(param.nodes);
+  const Configuration start = reference_start(param);
 
-  ReferenceGraphSimulation ref(*param.dynamics, topo, start, 555);
-  GraphSimulation engine(*param.dynamics, topo, start, 555);
+  ReferenceGraphSimulation ref(*param.dynamics, topo, start, 555, param.shuffle_layout);
+  GraphSimulation engine(*param.dynamics, topo, start, 555, param.shuffle_layout);
   for (int round = 0; round < 15; ++round) {
     ref.step();
     engine.step();
@@ -138,6 +146,14 @@ TEST_P(EngineVsReference, BitwiseEqualOnClique) {
     ASSERT_EQ(ref.states(), engine.states())
         << param.dynamics->name() << " node states diverged at round " << round;
   }
+}
+
+std::string sanitized_name(const Dynamics& dynamics) {
+  std::string name = dynamics.name();
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  return name;
 }
 
 const ThreeMajority kMajority;
@@ -161,13 +177,37 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineVsReferenceCase{&kUndecided, true},
                       EngineVsReferenceCase{&kFivePlurality, false},
                       EngineVsReferenceCase{kRuleMin.get(), false}),
-    [](const auto& info) {
-      std::string name = info.param.dynamics->name();
-      for (char& ch : name) {
-        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
-      }
-      return name;
-    });
+    [](const auto& info) { return sanitized_name(*info.param.dynamics); });
+
+// Every registry dynamics at small, medium and wide-state k (state bytes
+// and state_t), node ids in layout order. On the implicit clique this is
+// the paper's per-agent protocol: every node pulls sample_arity() uniform
+// nodes of the whole population, with repetition and itself included. The
+// removed agent backend, a separate stepper of that protocol, was held
+// bitwise equal to the clique on this grid, so the clique reproduces its
+// trajectories seed for seed.
+const std::vector<std::unique_ptr<Dynamics>> kRegistry = [] {
+  std::vector<std::unique_ptr<Dynamics>> all;
+  for (const std::string& name : dynamics_names()) all.push_back(make_dynamics(name));
+  return all;
+}();
+
+std::vector<EngineVsReferenceCase> registry_cases() {
+  std::vector<EngineVsReferenceCase> cases;
+  for (const std::unique_ptr<Dynamics>& dynamics : kRegistry) {
+    for (const state_t k : {state_t{2}, state_t{5}, state_t{300}}) {
+      cases.push_back({dynamics.get(), dynamics->num_states(k) > k, k, /*nodes=*/1000,
+                       /*shuffle_layout=*/false});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, EngineVsReference, ::testing::ValuesIn(registry_cases()),
+                         [](const auto& info) {
+                           return sanitized_name(*info.param.dynamics) + "_k" +
+                                  std::to_string(info.param.k);
+                         });
 
 TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
   // k > 256 stores node states as state_t instead of bytes — pin that

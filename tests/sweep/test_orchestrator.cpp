@@ -10,6 +10,7 @@
 #include <string>
 
 #include "io/checkpoint.hpp"
+#include "io/json.hpp"
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
 
@@ -190,6 +191,35 @@ TEST(Orchestrator, CorruptCellFileIsRecomputedNotTrusted) {
   EXPECT_NO_THROW(
       (void)io::read_checkpoint_file((dir / "cells" / "cell_00001.json").string()));
   EXPECT_TRUE(fs::exists(dir / "cells" / "quarantine" / "cell_00001.json"));
+}
+
+TEST(Orchestrator, ResumeRecomputesCellsOfTheRemovedAgentBackend) {
+  // A no-exact-law clique cell under backend=auto once resolved to the
+  // agent backend, with the same requested spec string it has today. Its
+  // file must not be trusted: a fresh run draws the graph realization.
+  const fs::path dir = fresh_dir("agent_cell");
+  const SweepSpec sweep = SweepSpec::parse(
+      "dynamics=20-plurality workload=bias:2c n=2000 trials=2 max_rounds=5000 k=16");
+  SweepOptions options;
+  options.out_dir = dir.string();
+  const SweepOutcome first = run_sweep(sweep, options);
+  ASSERT_EQ(first.cells.size(), 1u);
+  ASSERT_EQ(first.cells[0].resolved_backend, "graph");
+
+  const fs::path cell = dir / "cells" / "cell_00000.json";
+  std::string text = io::read_checkpoint_file(cell.string()).to_string();
+  const std::string graph = "\"backend\": \"graph\"";
+  const std::size_t at = text.find(graph);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, graph.size(), "\"backend\": \"agent\"");
+  io::write_checkpoint_file(cell.string(), io::parse_json(text));
+
+  options.resume = true;
+  const SweepOutcome resumed = run_sweep(sweep, options);
+  EXPECT_EQ(resumed.resumed, 0u);
+  EXPECT_EQ(resumed.ran, 1u);
+  EXPECT_EQ(resumed.cells[0].resolved_backend, "graph");
+  EXPECT_EQ(resumed.cells[0].metrics.rounds_mean, first.cells[0].metrics.rounds_mean);
 }
 
 TEST(Orchestrator, TrialsOverrideShrinksEveryCell) {
