@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "graph/topology_registry.hpp"
 #include "support/check.hpp"
 
 namespace plurality::graph {
@@ -129,6 +131,79 @@ TEST(Builders, RandomRegularGoldenAdjacency) {
     EXPECT_EQ(fnv1a_rows(t), c.rows_hash)
         << "n=" << c.n << " d=" << c.d << " seed=" << c.seed;
     EXPECT_EQ(next, c.next_word) << "n=" << c.n << " d=" << c.d << " seed=" << c.seed;
+  }
+}
+
+/// FNV-1a over an arena graph's whole CSR: the n + 1 offsets, the packed
+/// neighbor ids, then num_arcs() and the min/max degree, each word as 8
+/// little-endian bytes.
+std::uint64_t arena_digest(const AgentGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (count_t v = 0; v <= g.num_nodes(); ++v) mix(g.offsets()[v]);
+  for (std::uint64_t a = 0; a < g.num_arcs(); ++a) mix(g.neighbors()[a]);
+  mix(g.num_arcs());
+  mix(g.min_degree());
+  mix(g.max_degree());
+  return h;
+}
+
+TEST(Builders, ArenaDigestGolden) {
+  // Pins every arena family make_topology builds: the whole CSR (offsets,
+  // neighbor ids in row order, arc count, degree range), the arena size,
+  // and the generator state the build leaves behind. The structured
+  // families include their smallest legal sizes.
+  struct Case {
+    std::string spec;
+    count_t n;
+    std::uint64_t seed, digest, next_word;
+  };
+  const std::string edges =
+      std::string("edges:") + PLURALITY_SOURCE_DIR + "/tests/graph/data/arena_digest_edges.txt";
+  const Case cases[] = {
+      {"ring", 3, 1, 0xcc3b508f6c18f843ULL, 0xcfc5d07f6f03c29bULL},
+      {"ring", 4, 1, 0xa57a90d17c1ee2e5ULL, 0xcfc5d07f6f03c29bULL},
+      {"ring", 1001, 1, 0xf52e06d7e3fddc88ULL, 0xcfc5d07f6f03c29bULL},
+      {"torus", 9, 1, 0x945db2e9d043b3a5ULL, 0xcfc5d07f6f03c29bULL},
+      {"torus", 16, 1, 0xa637ffff1db53925ULL, 0xcfc5d07f6f03c29bULL},
+      {"torus", 900, 1, 0xcf0e8b3cf85eb271ULL, 0xcfc5d07f6f03c29bULL},
+      {"torus:3x5", 15, 1, 0x11b8431ef1dfbb79ULL, 0xcfc5d07f6f03c29bULL},
+      {"torus:5x3", 15, 1, 0xdf75ae9e9e081f79ULL, 0xcfc5d07f6f03c29bULL},
+      {"torus:4x7", 28, 1, 0x870762e0799eb565ULL, 0xcfc5d07f6f03c29bULL},
+      {"torus:20x45", 900, 1, 0xe4998c8ed66cb7d5ULL, 0xcfc5d07f6f03c29bULL},
+      {"lattice:2", 4, 1, 0xa57a90d17c1ee2e5ULL, 0xcfc5d07f6f03c29bULL},
+      {"lattice:4", 6, 1, 0x8f1070f7ce1d6ba1ULL, 0xcfc5d07f6f03c29bULL},
+      {"lattice:8", 10, 1, 0x1826027ff5682a6dULL, 0xcfc5d07f6f03c29bULL},
+      {"lattice:6", 101, 1, 0xc66761fc66d80918ULL, 0xcfc5d07f6f03c29bULL},
+      {"lattice:8", 1000, 1, 0x6ab716097ce198f1ULL, 0xcfc5d07f6f03c29bULL},
+      {"regular:3", 10, 1, 0x3cedc4a36efe164fULL, 0x81df0abdf578c676ULL},
+      {"regular:9", 12, 7, 0x6151c36b64809025ULL, 0xa04ef4e9bb28c46bULL},
+      {"regular:4", 257, 2, 0xccffcda81dbd4945ULL, 0xa5d509d536643a56ULL},
+      {"regular:8", 1000, 8, 0x869a3ca03e9c6271ULL, 0xd114589919f8ed02ULL},
+      {"er:0.05", 200, 3, 0x16eb4f451f8215c6ULL, 0x764be90ec58c1ccdULL},
+      {"er:0.5", 20, 4, 0x0de21c3691f7caa5ULL, 0xabaa3f394f01de92ULL},
+      {"er:1", 10, 5, 0xdc5b411e189fa97dULL, 0x18e2721bdf506c58ULL},
+      {"er:0.002", 500, 6, 0x9bf49fded9afb80eULL, 0x516e90da13f8b5aeULL},
+      {"gnm:400", 100, 7, 0x43cb2b47ffb1964cULL, 0xf6992262a0397d08ULL},
+      {"gnm:10", 50, 8, 0x887b765cc165ef0dULL, 0x7ba808ade62abef5ULL},
+      {"gnm:3600", 900, 9, 0xc2ec32a293541e48ULL, 0x7a9e8e2d451bbf06ULL},
+      {edges, 8, 1, 0x0c9c2dd6e04d3a8fULL, 0xcfc5d07f6f03c29bULL},
+  };
+  for (const Case& c : cases) {
+    rng::Xoshiro256pp gen(c.seed);
+    const AgentGraph g = make_topology(c.spec, c.n, gen);
+    const std::uint64_t next = gen();
+    ASSERT_FALSE(g.is_complete() || g.is_implicit()) << c.spec;
+    EXPECT_EQ(g.arena_bytes(),
+              (c.n + 1 + (g.num_arcs() + 1) / 2) * sizeof(std::uint64_t))
+        << c.spec << " n=" << c.n;
+    EXPECT_EQ(arena_digest(g), c.digest) << c.spec << " n=" << c.n << " seed=" << c.seed;
+    EXPECT_EQ(next, c.next_word) << c.spec << " n=" << c.n << " seed=" << c.seed;
   }
 }
 
