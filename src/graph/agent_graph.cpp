@@ -51,42 +51,60 @@ AgentGraph AgentGraph::implicit(const ImplicitTopology& topo) {
   return g;
 }
 
-AgentGraph AgentGraph::from_topology(const Topology& topology) {
-  if (topology.kind() == Topology::Kind::CompleteImplicit) {
-    return complete(topology.num_nodes());
-  }
-  const count_t n = topology.num_nodes();
+AgentGraph AgentGraph::with_arena(count_t n, std::uint64_t arcs) {
+  PLURALITY_REQUIRE(n >= 1, "AgentGraph: need at least one node");
   PLURALITY_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
                     "AgentGraph: node ids must fit 32 bits (n=" << n << ")");
   AgentGraph g;
   g.n_ = n;
-  g.complete_ = false;
-  g.arcs_ = topology.num_arcs();
+  g.arcs_ = arcs;
   // One arena: n+1 offset words, then the neighbor ids packed two per word.
-  const std::size_t words =
-      static_cast<std::size_t>(n) + 1 + (static_cast<std::size_t>(g.arcs_) + 1) / 2;
-  g.arena_.assign(words, 0);
-  std::uint64_t* offsets = g.arena_.data();
-  auto* neighbors = reinterpret_cast<std::uint32_t*>(g.arena_.data() + n + 1);
-  offsets[0] = 0;
-  g.min_degree_ = n > 0 ? topology.degree(0) : 0;
-  g.max_degree_ = g.min_degree_;
-  std::size_t cursor = 0;
-  for (count_t v = 0; v < n; ++v) {
-    const auto neigh = topology.neighbors(v);
-    for (const count_t u : neigh) neighbors[cursor++] = static_cast<std::uint32_t>(u);
-    offsets[v + 1] = cursor;
-    const auto deg = static_cast<count_t>(neigh.size());
-    g.min_degree_ = std::min(g.min_degree_, deg);
-    g.max_degree_ = std::max(g.max_degree_, deg);
-  }
-  PLURALITY_CHECK(cursor == g.arcs_);
+  g.arena_.assign(static_cast<std::size_t>(n) + 1 + static_cast<std::size_t>((arcs + 1) / 2),
+                  0);
   return g;
 }
 
-AgentGraph AgentGraph::from_edges(count_t n,
-                                  std::span<const std::pair<count_t, count_t>> edges) {
-  return from_topology(Topology::from_edges(n, edges));
+AgentGraph AgentGraph::from_edges(count_t n, std::span<const Edge> edges) {
+  std::uint64_t arcs = 0;
+  for (const auto& [u, v] : edges) {
+    PLURALITY_REQUIRE(u < n && v < n, "AgentGraph::from_edges: endpoint out of range");
+    arcs += u == v ? 1 : 2;
+  }
+  AgentGraph g = with_arena(n, arcs);
+  std::uint64_t* offsets = g.arena_.data();
+  auto* neighbors = reinterpret_cast<std::uint32_t*>(offsets + n + 1);
+  // Counting sort with the offsets as cursors: count row v's arcs into
+  // offsets[v + 1] and prefix-sum them, so offsets[v] is row v's start;
+  // fill the rows in edge-list order, which advances offsets[v] to row v's
+  // end; then shift the ends up one slot to turn them back into starts.
+  for (const auto& [u, v] : edges) {
+    ++offsets[u + 1];
+    if (u != v) ++offsets[v + 1];
+  }
+  for (count_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  for (const auto& [u, v] : edges) {
+    neighbors[offsets[u]++] = v;
+    if (u != v) neighbors[offsets[v]++] = u;
+  }
+  for (count_t v = n; v > 0; --v) offsets[v] = offsets[v - 1];
+  offsets[0] = 0;
+  g.min_degree_ = g.max_degree_ = offsets[1];
+  for (count_t v = 1; v < n; ++v) {
+    const count_t deg = offsets[v + 1] - offsets[v];
+    g.min_degree_ = std::min(g.min_degree_, deg);
+    g.max_degree_ = std::max(g.max_degree_, deg);
+  }
+  return g;
+}
+
+AgentGraph AgentGraph::regular(count_t n, count_t d,
+                               const std::function<void(std::span<std::uint32_t>)>& fill_rows) {
+  AgentGraph g = with_arena(n, n * d);
+  std::uint64_t* offsets = g.arena_.data();
+  for (count_t v = 0; v <= n; ++v) offsets[v] = v * d;
+  fill_rows({reinterpret_cast<std::uint32_t*>(offsets + n + 1), static_cast<std::size_t>(n * d)});
+  g.min_degree_ = g.max_degree_ = d;
+  return g;
 }
 
 count_t AgentGraph::degree(count_t v) const {
@@ -257,11 +275,11 @@ void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
 
 // ------------------------------------------------------- GraphSimulation ---
 
-GraphSimulation::GraphSimulation(const Dynamics& dynamics, const Topology& topology,
+GraphSimulation::GraphSimulation(const Dynamics& dynamics, AgentGraph&& graph,
                                  const Configuration& start, std::uint64_t seed,
                                  bool shuffle_layout, EngineMode mode)
     : dynamics_(dynamics),
-      owned_graph_(AgentGraph::from_topology(topology)),
+      owned_graph_(std::move(graph)),
       graph_(&owned_graph_),
       config_(start),
       streams_(seed),

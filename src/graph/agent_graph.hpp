@@ -2,11 +2,13 @@
 //
 // Three pieces, mirroring the count-based engine's discipline (PR 1):
 //
-//  * AgentGraph — an immutable CSR-packed graph: one contiguous arena
-//    holding the n+1 offsets followed by the 32-bit neighbor ids, so a
-//    round's neighbor walks are sequential loads from a single allocation.
-//    The clique is represented implicitly (no adjacency memory; sampling
-//    uniform over [n] including self, matching the paper's model exactly).
+//  * AgentGraph — the one graph type: an immutable CSR-packed graph, one
+//    contiguous arena holding the n+1 offsets followed by the 32-bit
+//    neighbor ids, so a round's neighbor walks are sequential loads from a
+//    single allocation. Every builder (builders.hpp) fills that arena in
+//    place; no second adjacency form exists on the way in. The clique and
+//    the ImplicitTopology families need no arena at all (sampling uniform
+//    over [n] including self on the clique, the paper's model exactly).
 //
 //  * GraphStepWorkspace (graph_workspace.hpp) — all per-round scratch:
 //    one double-buffered node-state array (bytes when k <= 256), per-chunk
@@ -21,11 +23,12 @@
 // (reference_sim.hpp): same streams, same sampling order, same states,
 // round by round — see tests/graph/test_graph_determinism.cpp.
 // GraphSimulation keeps the original convenience API on top of the engine;
-// on Topology::complete it reproduces the clique model exactly and is
+// on AgentGraph::complete it reproduces the clique model exactly and is
 // property-tested against the core backends.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -34,7 +37,6 @@
 #include "core/dynamics.hpp"
 #include "graph/graph_workspace.hpp"
 #include "graph/implicit_topology.hpp"
-#include "graph/topology.hpp"
 #include "rng/stream.hpp"
 #include "support/types.hpp"
 
@@ -45,8 +47,9 @@ namespace plurality::graph {
 /// Layout: arena_[0 .. n] are the 64-bit adjacency offsets; the 32-bit
 /// neighbor ids are packed into the remaining words (two per u64). Node
 /// count is capped at 2^32 - 1 so ids fit the packed width; offsets stay
-/// 64-bit, so arc counts are unbounded. For Kind-complete graphs the arena
-/// is empty and sampling is uniform over all n nodes (self included).
+/// 64-bit, so arc counts are unbounded. The complete graph and the
+/// ImplicitTopology families have an empty arena: the clique samples
+/// uniformly over all n nodes (self included), the others compute ids.
 class AgentGraph {
  public:
   /// Empty graph; only useful as a move-assignment target.
@@ -63,13 +66,22 @@ class AgentGraph {
   /// population is exactly the clique sampling model.
   static AgentGraph implicit(const ImplicitTopology& topo);
 
-  /// Packs an explicit (or implicit-complete) Topology.
-  static AgentGraph from_topology(const Topology& topology);
+  /// One undirected edge {u, v} of an edge list (32-bit ids, as stored).
+  using Edge = std::pair<std::uint32_t, std::uint32_t>;
 
-  /// Builds from an undirected edge list (both directions stored), via
-  /// Topology::from_edges' CSR construction.
-  static AgentGraph from_edges(count_t n,
-                               std::span<const std::pair<count_t, count_t>> edges);
+  /// Arena graph on n nodes (1 <= n <= 2^32 - 1) from an undirected edge
+  /// list, both directions stored. A self-loop is stored once and parallel
+  /// edges keep their multiplicity (sampling semantics). Row v lists v's
+  /// incident edges in list order. One counting sort writes the ids
+  /// straight into the arena: peak memory is the arena plus `edges`.
+  static AgentGraph from_edges(count_t n, std::span<const Edge> edges);
+
+  /// d-regular arena graph on n nodes (1 <= n <= 2^32 - 1): the offsets are
+  /// v * d, and `fill_rows` writes every row in place — rows[v*d, v*d + d)
+  /// are v's neighbors, in order. The caller guarantees ids below n and
+  /// symmetry (u in row v exactly as often as v in row u).
+  static AgentGraph regular(count_t n, count_t d,
+                            const std::function<void(std::span<std::uint32_t> rows)>& fill_rows);
 
   [[nodiscard]] bool is_complete() const { return complete_; }
   [[nodiscard]] count_t num_nodes() const { return n_; }
@@ -111,6 +123,9 @@ class AgentGraph {
   [[nodiscard]] std::size_t arena_bytes() const { return arena_.size() * sizeof(std::uint64_t); }
 
  private:
+  /// Zeroed arena for n nodes (1 <= n <= 2^32 - 1) and `arcs` arcs.
+  static AgentGraph with_arena(count_t n, std::uint64_t arcs);
+
   count_t n_ = 0;
   bool complete_ = false;
   std::uint64_t arcs_ = 0;
@@ -163,14 +178,15 @@ class GraphSimulation {
  public:
   /// `start` assigns states by laying out start.at(j) nodes of state j in
   /// node-id order; pass `shuffle_layout = true` to randomize the
-  /// assignment. Packs `topology` into an owned AgentGraph. `mode` picks
-  /// the stepping pipeline (see step_graph).
-  GraphSimulation(const Dynamics& dynamics, const Topology& topology,
+  /// assignment. Takes ownership of `graph`, so a temporary such as
+  /// GraphSimulation(dyn, cycle(n), ...) is moved in and cannot dangle.
+  /// `mode` picks the stepping pipeline (see step_graph).
+  GraphSimulation(const Dynamics& dynamics, AgentGraph&& graph,
                   const Configuration& start, std::uint64_t seed,
                   bool shuffle_layout = true, EngineMode mode = EngineMode::Strict);
 
-  /// Borrowing variant: steps over a caller-owned CSR graph (no packing
-  /// cost; the graph must outlive the simulation).
+  /// Borrowing variant: steps over a caller-owned graph (the graph must
+  /// outlive the simulation).
   GraphSimulation(const Dynamics& dynamics, const AgentGraph& graph,
                   const Configuration& start, std::uint64_t seed,
                   bool shuffle_layout = true, EngineMode mode = EngineMode::Strict);

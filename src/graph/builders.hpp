@@ -1,24 +1,29 @@
 // Standard topology generators for the sparse-graph extension experiments
-// (E13): structured graphs (cycle, torus) and random graphs (simple
-// d-regular via Steger–Wormald pairing, Erdős–Rényi G(n, m)).
+// (E13): structured graphs (cycle, torus, circulant lattice) and random
+// graphs (simple d-regular via Steger–Wormald pairing, Erdős–Rényi G(n, m)).
+// Each returns an arena-backed AgentGraph whose arena it fills in place.
 #pragma once
 
-#include "graph/topology.hpp"
+#include "graph/agent_graph.hpp"
+#include "graph/implicit_topology.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace plurality::graph {
 
-/// Cycle C_n (n >= 3).
-Topology cycle(count_t n);
+/// The arena twin of a ring/torus/lattice descriptor: row v is
+/// topo.neighbor(v, 0 .. degree - 1), so the implicit and arena forms share
+/// one definition of the neighbor order (topo.n <= 2^32 - 1).
+AgentGraph materialize(const ImplicitTopology& topo);
+
+/// Cycle C_n (n >= 3): materialize(ImplicitTopology::ring(n)).
+AgentGraph cycle(count_t n);
 
 /// rows x cols torus grid (4-regular, wrap-around; rows, cols >= 3).
-Topology torus(count_t rows, count_t cols);
+AgentGraph torus(count_t rows, count_t cols);
 
 /// Circulant d-regular lattice: v ~ v +- j (mod n) for j = 1..d/2 (d even,
-/// 2 <= d <= n - 2). d = 2 is exactly cycle(n). The arena twin of
-/// ImplicitTopology::lattice — edge emission order is part of the implicit
-/// engine's bitwise contract (implicit_topology.hpp).
-Topology circulant_lattice(count_t n, count_t d);
+/// 2 <= d <= n - 2). d = 2 is exactly cycle(n).
+AgentGraph circulant_lattice(count_t n, count_t d);
 
 /// Simple random d-regular graph via Steger–Wormald incremental pairing:
 /// d*n stubs (d*n even, d < n, n <= 2^32 - 1) are matched two at a time at
@@ -27,13 +32,13 @@ Topology circulant_lattice(count_t n, count_t d);
 /// acceptable match in 200 draws) restarts from scratch; after 256 attempts
 /// it throws CheckError, which happens only for d close to n. The graph
 /// and the generator state it leaves are fixed by `gen`'s state.
-Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen);
+AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen);
 
-/// Erdős–Rényi G(n, m): m distinct edges (no self-loops) chosen uniformly.
-/// With `patch_isolated`, every degree-0 vertex is afterwards attached to a
-/// uniform random partner (adding a few edges beyond m) so that sampling
-/// dynamics are well-defined on every node.
-Topology erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
-                     bool patch_isolated = false);
+/// Erdős–Rényi G(n, m): m distinct edges (no self-loops) chosen uniformly
+/// (n <= 2^32 - 1). With `patch_isolated`, every degree-0 vertex is
+/// afterwards attached to a uniform random partner (adding a few edges
+/// beyond m) so that sampling dynamics are well-defined on every node.
+AgentGraph erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
+                       bool patch_isolated = false);
 
 }  // namespace plurality::graph

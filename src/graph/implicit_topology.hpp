@@ -12,14 +12,16 @@
 // with byte-wide states that is ~2 GB instead of a ~16 GB arena plus
 // 10 GB of workspace.
 //
-// THE NEIGHBOR ORDER IS A BITWISE CONTRACT: for every family with an arena
-// twin (ring, torus, lattice), neighbor(v, idx) returns EXACTLY the id at
-// AgentGraph::neighbors_of(v)[idx] of the arena-backed build — the order
-// in which Topology::from_edges encounters v's incident edges in the
-// builder's emission sequence (builders.cpp). The strict and batched
-// samplers draw the same index either way, so implicit and arena runs are
-// bitwise-identical at any n where both exist
+// THE NEIGHBOR ORDER IS A BITWISE CONTRACT, and this file is its only
+// definition: the arena form of ring, torus and lattice
+// (builders.hpp, materialize) fills row v with neighbor(v, 0 .. degree-1),
+// so AgentGraph::neighbors_of(v)[idx] == neighbor(v, idx) by construction.
+// The strict and batched samplers draw the same index either way, so
+// implicit and arena runs are bitwise-identical at any n where both exist
 // (tests/graph/test_implicit_topology.cpp pins this per family and mode).
+// The order itself is frozen: it is the CSR row order of the edge-list
+// builders these families once had, and the golden trajectories and arena
+// digests (tests/graph/test_builders.cpp) pin it.
 #pragma once
 
 #include <cstdint>
@@ -54,24 +56,23 @@ struct ImplicitTopology {
 
   [[nodiscard]] bool implicit() const { return family != Family::None; }
 
-  /// Neighbor `idx` (0 <= idx < degree) of node v, in the arena twin's CSR
-  /// order (see the header comment). Gossip has no arena twin; its
-  /// "adjacency" is the identity over [0, n).
+  /// Neighbor `idx` (0 <= idx < degree) of node v, in the frozen order the
+  /// arena form copies (see the header comment). Gossip has no arena form;
+  /// its "adjacency" is the identity over [0, n).
   [[nodiscard]] std::uint64_t neighbor(std::uint64_t v, std::uint64_t idx) const {
     switch (family) {
       case Family::Gossip:
         return idx;
       case Family::Ring:
-        // cycle(n) emits edge (v, v+1 mod n) in v order, so node 0 meets
-        // edge (0,1) before (n-1,0) and every other node meets its
-        // predecessor edge first.
+        // Predecessor first, then successor — except node 0, whose
+        // successor comes first (the order of edges (v, v+1 mod n) listed
+        // in v order).
         if (v == 0) return idx == 0 ? 1 : n - 1;
         return idx == 0 ? v - 1 : (v + 1 == n ? 0 : v + 1);
       case Family::Torus: {
-        // torus(rows, cols) emits, per cell in row-major order, the right
-        // edge then the down edge. A node's incident-edge order (hence its
-        // CSR row order) therefore depends on which of its up/left
-        // neighbors wrapped past it in the emission sequence.
+        // The order of each cell's right edge then down edge, listed in
+        // row-major cell order: a node's row order depends on which of its
+        // up/left neighbors wrap around the grid.
         const std::uint64_t r = v / cols;
         const std::uint64_t c = v % cols;
         const std::uint64_t up = (r == 0 ? rows - 1 : r - 1) * cols + c;
@@ -94,9 +95,9 @@ struct ImplicitTopology {
         return order[idx];
       }
       case Family::Lattice: {
-        // circulant_lattice(n, d) emits edges (v, v+j mod n) with j as the
-        // outer loop: ring j contributes the pair (v-j, v+j) to node v,
-        // predecessor edge first unless it wrapped (v < j).
+        // Ring j = 1 .. half contributes the pair (v-j, v+j) to node v,
+        // predecessor first unless it wraps (v < j) — the order of edges
+        // (v, v+j mod n) listed with j as the outer loop.
         const std::uint64_t j = idx / 2 + 1;
         if (v >= j) {
           if ((idx & 1) == 0) return v - j;

@@ -1,5 +1,6 @@
 // Frozen pre-refactor implementation — see reference_sim.hpp. This is the
-// seed tree's GraphSimulation verbatim (only the class name changed); the
+// seed tree's GraphSimulation verbatim (only the class name and the graph
+// type changed: it reads AgentGraph rows where it read Topology rows); the
 // determinism suite depends on every RNG draw here staying put.
 #include "graph/reference_sim.hpp"
 
@@ -15,16 +16,17 @@
 namespace plurality::graph {
 
 ReferenceGraphSimulation::ReferenceGraphSimulation(const Dynamics& dynamics,
-                                                   const Topology& topology,
+                                                   const AgentGraph& graph,
                                                    const Configuration& start,
                                                    std::uint64_t seed,
                                                    bool shuffle_layout)
-    : dynamics_(dynamics), topology_(topology), config_(start), streams_(seed) {
-  PLURALITY_REQUIRE(start.n() == topology.num_nodes(),
+    : dynamics_(dynamics), graph_(graph), config_(start), streams_(seed) {
+  PLURALITY_REQUIRE(start.n() == graph.num_nodes(),
                     "ReferenceGraphSimulation: configuration has " << start.n()
-                        << " nodes but topology has " << topology.num_nodes());
-  PLURALITY_REQUIRE(topology.kind() == Topology::Kind::CompleteImplicit ||
-                        topology.min_degree() >= 1,
+                        << " nodes but topology has " << graph.num_nodes());
+  PLURALITY_REQUIRE(!graph.is_implicit(),
+                    "ReferenceGraphSimulation: implicit topologies store no rows");
+  PLURALITY_REQUIRE(graph.is_complete() || graph.min_degree() >= 1,
                     "ReferenceGraphSimulation: isolated vertices cannot sample");
   nodes_.reserve(start.n());
   for (state_t j = 0; j < start.k(); ++j) {
@@ -42,7 +44,7 @@ void ReferenceGraphSimulation::step() {
   const state_t k = config_.k();
   const unsigned arity = dynamics_.sample_arity();
   PLURALITY_CHECK_MSG(arity <= 64, "graph backend supports sample arity <= 64");
-  const bool complete = topology_.kind() == Topology::Kind::CompleteImplicit;
+  const bool complete = graph_.is_complete();
 
   const std::size_t chunk_size = (n + kChunks - 1) / kChunks;
   std::array<std::vector<count_t>, kChunks> partial_counts;
@@ -63,7 +65,7 @@ void ReferenceGraphSimulation::step() {
             sample[s] = nodes_[rng::uniform_below(gen, n)];
           }
         } else {
-          const auto neigh = topology_.neighbors(i);
+          const auto neigh = graph_.neighbors_of(i);
           for (unsigned s = 0; s < arity; ++s) {
             sample[s] = nodes_[neigh[rng::uniform_below(gen, neigh.size())]];
           }

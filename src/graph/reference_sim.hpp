@@ -11,7 +11,7 @@
 
 #include "core/configuration.hpp"
 #include "core/dynamics.hpp"
-#include "graph/topology.hpp"
+#include "graph/agent_graph.hpp"
 #include "rng/stream.hpp"
 #include "support/types.hpp"
 
@@ -19,7 +19,10 @@ namespace plurality::graph {
 
 class ReferenceGraphSimulation {
  public:
-  ReferenceGraphSimulation(const Dynamics& dynamics, const Topology& topology,
+  /// Steps over a caller-owned complete or arena-backed graph (it must
+  /// outlive the simulation); implicit ring/torus/lattice graphs store no
+  /// rows to read.
+  ReferenceGraphSimulation(const Dynamics& dynamics, const AgentGraph& graph,
                            const Configuration& start, std::uint64_t seed,
                            bool shuffle_layout = true);
 
@@ -35,7 +38,7 @@ class ReferenceGraphSimulation {
 
  private:
   const Dynamics& dynamics_;
-  const Topology& topology_;
+  const AgentGraph& graph_;
   Configuration config_;
   std::vector<state_t> nodes_;
   std::vector<state_t> scratch_;

@@ -120,11 +120,10 @@ std::uint64_t er_edges(const std::string& arg, const std::string& spec, count_t 
   return m;
 }
 
-std::vector<std::pair<count_t, count_t>> read_edge_list(const std::string& path,
-                                                        count_t n) {
+std::vector<AgentGraph::Edge> read_edge_list(const std::string& path, count_t n) {
   std::ifstream in(path);
   PLURALITY_REQUIRE(in.good(), "topology 'edges': cannot open '" << path << "'");
-  std::vector<std::pair<count_t, count_t>> edges;
+  std::vector<AgentGraph::Edge> edges;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -143,7 +142,8 @@ std::vector<std::pair<count_t, count_t>> read_edge_list(const std::string& path,
     PLURALITY_REQUIRE(u < n && v < n, "topology 'edges': '" << path << "' line " << line_no
                                                             << ": node id out of range "
                                                             << "(n = " << n << ")");
-    edges.emplace_back(u, v);
+    // n <= 2^32 - 1 here (require_arena_ids), so the ids fit 32 bits.
+    edges.emplace_back(static_cast<std::uint32_t>(u), static_cast<std::uint32_t>(v));
   }
   PLURALITY_REQUIRE(!edges.empty(), "topology 'edges': '" << path << "' has no edges");
   return edges;
@@ -161,6 +161,27 @@ std::uint64_t gnm_edges(const std::string& arg, const std::string& spec, count_t
   return m;
 }
 
+/// Ring, torus and lattice: the families with both an implicit and an
+/// arena form.
+bool is_structured(const std::string& kind) {
+  return kind == "ring" || kind == "torus" || kind == "lattice";
+}
+
+/// The descriptor of a ring/torus/lattice spec; both of its forms are
+/// built from it, so they share one neighbor order.
+ImplicitTopology structured_descriptor(const std::string& kind, const std::string& arg,
+                                       const std::string& spec, count_t n) {
+  if (kind == "ring") {
+    PLURALITY_REQUIRE(arg.empty(), "topology 'ring' takes no argument");
+    return ImplicitTopology::ring(n);
+  }
+  if (kind == "torus") {
+    const auto [rows, cols] = torus_shape(arg, spec, n);
+    return ImplicitTopology::torus(rows, cols);
+  }
+  return ImplicitTopology::lattice(n, lattice_degree(arg, spec, n));
+}
+
 constexpr const char* kUnknownMessage =
     "; known: clique, gossip, ring, torus[:<r>x<c>], lattice:<d>, regular:<d>, "
     "er:<p>, gnm:<m>, edges:<path>";
@@ -172,8 +193,7 @@ bool topology_is_clique(const std::string& spec) { return spec == "clique"; }
 bool topology_is_implicit_capable(const std::string& spec) {
   const auto [kind, arg] = split_spec(spec);
   (void)arg;
-  return kind == "clique" || kind == "gossip" || kind == "ring" || kind == "torus" ||
-         kind == "lattice";
+  return kind == "clique" || kind == "gossip" || is_structured(kind);
 }
 
 void validate_topology_spec(const std::string& spec, count_t n) {
@@ -234,46 +254,26 @@ void validate_topology_spec(const std::string& spec, count_t n) {
 
 AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& gen) {
   const auto [kind, arg] = split_spec(spec);
-  if (kind == "clique") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'clique' takes no argument");
-    return AgentGraph::complete(n);
-  }
-  if (kind == "gossip") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'gossip' takes no argument");
-    PLURALITY_REQUIRE(n <= kU32Max,
-                      "topology 'gossip': the batched engine's sample bound is n "
-                      "itself and must fit 32 bits (got " << n << ")");
-    return AgentGraph::implicit(ImplicitTopology::gossip(n));
-  }
-  if (kind == "ring") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'ring' takes no argument");
+  if (kind == "clique" || kind == "gossip") return make_topology_implicit(spec, n);
+  if (is_structured(kind)) {
+    const ImplicitTopology topo = structured_descriptor(kind, arg, spec, n);
     require_arena_ids(spec, n);
-    return AgentGraph::from_topology(cycle(n));
-  }
-  if (kind == "torus") {
-    const auto [rows, cols] = torus_shape(arg, spec, n);
-    require_arena_ids(spec, n);
-    return AgentGraph::from_topology(torus(rows, cols));
-  }
-  if (kind == "lattice") {
-    const count_t d = lattice_degree(arg, spec, n);
-    require_arena_ids(spec, n);
-    return AgentGraph::from_topology(circulant_lattice(n, d));
+    return materialize(topo);
   }
   if (kind == "regular") {
     require_arena_ids(spec, n);
     const count_t d = regular_degree(arg, spec, n);
-    return AgentGraph::from_topology(random_regular(n, d, gen));
+    return random_regular(n, d, gen);
   }
   if (kind == "er") {
     require_arena_ids(spec, n);
     const std::uint64_t m = er_edges(arg, spec, n);
-    return AgentGraph::from_topology(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
+    return erdos_renyi(n, m, gen, /*patch_isolated=*/true);
   }
   if (kind == "gnm") {
     require_arena_ids(spec, n);
     const std::uint64_t m = gnm_edges(arg, spec, n);
-    return AgentGraph::from_topology(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
+    return erdos_renyi(n, m, gen, /*patch_isolated=*/true);
   }
   if (kind == "edges") {
     require_arena_ids(spec, n);
@@ -298,17 +298,8 @@ AgentGraph make_topology_implicit(const std::string& spec, count_t n) {
                       "itself and must fit 32 bits (got " << n << ")");
     return AgentGraph::implicit(ImplicitTopology::gossip(n));
   }
-  if (kind == "ring") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'ring' takes no argument");
-    return AgentGraph::implicit(ImplicitTopology::ring(n));
-  }
-  if (kind == "torus") {
-    const auto [rows, cols] = torus_shape(arg, spec, n);
-    return AgentGraph::implicit(ImplicitTopology::torus(rows, cols));
-  }
-  if (kind == "lattice") {
-    const count_t d = lattice_degree(arg, spec, n);
-    return AgentGraph::implicit(ImplicitTopology::lattice(n, d));
+  if (is_structured(kind)) {
+    return AgentGraph::implicit(structured_descriptor(kind, arg, spec, n));
   }
   PLURALITY_REQUIRE(false, "topology '" << spec << "' has no implicit form; "
                     "implicit-capable: clique, gossip, ring, torus[:<r>x<c>], "

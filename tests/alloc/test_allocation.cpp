@@ -128,8 +128,7 @@ TEST(ZeroAllocation, GraphEngineStepsOnSparseTopology) {
   // keeping this suite green is what pins the regression away.)
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(6);
-  const graph::Topology topo = graph::random_regular(2000, 8, topo_gen);
-  const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
+  const graph::AgentGraph csr = graph::random_regular(2000, 8, topo_gen);
   graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(2000, 3, 500), 7);
   sim.step();  // warm-up
   const std::uint64_t allocs = allocations_during([&] {
@@ -157,9 +156,8 @@ TEST(ZeroAllocation, GraphEngineStepsOnCliqueAndIrregularTopology) {
   }
   {
     rng::Xoshiro256pp topo_gen(9);
-    const graph::Topology topo = graph::erdos_renyi(2000, 8000, topo_gen,
+    const graph::AgentGraph csr = graph::erdos_renyi(2000, 8000, topo_gen,
                                                     /*patch_isolated=*/true);
-    const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
     graph::GraphSimulation sim(
         dyn, csr,
         UndecidedState::extend_with_undecided(workloads::additive_bias(2000, 4, 500)),
@@ -176,7 +174,7 @@ TEST(ZeroAllocation, GraphWorkspaceWarmsOnceAcrossTrials) {
   // The run_graph_trials reuse pattern: one workspace, many trials (fresh
   // load_nodes each), zero allocations once warm at the high-water (n, k).
   ThreeMajority dyn;
-  const graph::AgentGraph graph_ = graph::AgentGraph::from_topology(graph::torus(40, 50));
+  const graph::AgentGraph graph_ = graph::torus(40, 50);
   const Configuration start = workloads::additive_bias(2000, 3, 400);
   const rng::StreamFactory streams(11);
   graph::GraphStepWorkspace ws;
@@ -219,8 +217,7 @@ TEST(ZeroAllocation, GraphBatchedModeSteps) {
   // scalar tile pipeline.
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(12);
-  const graph::Topology topo = graph::random_regular(2000, 8, topo_gen);
-  const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
+  const graph::AgentGraph csr = graph::random_regular(2000, 8, topo_gen);
   using graph::simd::Level;
   for (const Level level : {Level::Avx512, Level::Avx2, Level::Scalar}) {
     if (!graph::simd::host_supports(level)) continue;
@@ -241,9 +238,8 @@ TEST(ZeroAllocation, GraphBatchedIrregularAndHPlurality) {
   // at h=8: nine planes per node) under the same contract.
   HPlurality dyn(8);
   rng::Xoshiro256pp topo_gen(14);
-  const graph::Topology topo = graph::erdos_renyi(1500, 6000, topo_gen,
+  const graph::AgentGraph csr = graph::erdos_renyi(1500, 6000, topo_gen,
                                                   /*patch_isolated=*/true);
-  const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
   graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(1500, 3, 400), 15,
                              /*shuffle_layout=*/true, graph::EngineMode::Batched);
   sim.step();
@@ -285,8 +281,7 @@ TEST(ZeroAllocation, ObservedGraphRounds) {
   // exactly as much as an unobserved one — nothing.
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(22);
-  const graph::Topology topo = graph::random_regular(2000, 8, topo_gen);
-  const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
+  const graph::AgentGraph csr = graph::random_regular(2000, 8, topo_gen);
   graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(2000, 3, 500), 23);
   plurality::ProbeOptions po;
   po.trials = 1;
@@ -340,8 +335,7 @@ TEST(ZeroAllocation, MetricsObservedGraphRounds) {
   // Same contract on the graph stepper with metrics enabled.
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(32);
-  const graph::Topology topo = graph::random_regular(2000, 8, topo_gen);
-  const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
+  const graph::AgentGraph csr = graph::random_regular(2000, 8, topo_gen);
   graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(2000, 3, 500), 33);
   plurality::ProbeOptions po;
   po.trials = 1;

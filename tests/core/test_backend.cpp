@@ -91,7 +91,7 @@ TEST(CountBackend, StepMeanMatchesLemma1) {
 /// state order.
 graph::GraphSimulation clique_agents(const Dynamics& dynamics, const Configuration& start,
                                      std::uint64_t seed) {
-  return graph::GraphSimulation(dynamics, graph::Topology::complete(start.n()), start, seed,
+  return graph::GraphSimulation(dynamics, graph::AgentGraph::complete(start.n()), start, seed,
                                 /*shuffle_layout=*/false);
 }
 

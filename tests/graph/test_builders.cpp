@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph_test_utils.hpp"
 #include "graph/topology_registry.hpp"
 #include "support/check.hpp"
 
@@ -16,16 +17,16 @@ namespace plurality::graph {
 namespace {
 
 TEST(Builders, CycleIsTwoRegularAndConnected) {
-  const Topology t = cycle(10);
+  const AgentGraph t = cycle(10);
   EXPECT_EQ(t.num_nodes(), 10u);
   EXPECT_EQ(t.min_degree(), 2u);
   EXPECT_EQ(t.max_degree(), 2u);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(connected(t));
 }
 
 TEST(Builders, CycleNeighborsAreAdjacent) {
-  const Topology t = cycle(5);
-  const auto n0 = t.neighbors(0);
+  const AgentGraph t = cycle(5);
+  const auto n0 = t.neighbors_of(0);
   const std::set<count_t> neighbors(n0.begin(), n0.end());
   EXPECT_EQ(neighbors, (std::set<count_t>{1, 4}));
 }
@@ -35,16 +36,16 @@ TEST(Builders, CycleTooSmallThrows) {
 }
 
 TEST(Builders, TorusIsFourRegularAndConnected) {
-  const Topology t = torus(4, 5);
+  const AgentGraph t = torus(4, 5);
   EXPECT_EQ(t.num_nodes(), 20u);
   EXPECT_EQ(t.min_degree(), 4u);
   EXPECT_EQ(t.max_degree(), 4u);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(connected(t));
 }
 
 TEST(Builders, TorusNeighborsWrapAround) {
-  const Topology t = torus(3, 3);
-  const auto n0 = t.neighbors(0);  // node (0,0)
+  const AgentGraph t = torus(3, 3);
+  const auto n0 = t.neighbors_of(0);  // node (0,0)
   const std::set<count_t> neighbors(n0.begin(), n0.end());
   // Right (0,1)=1, left (0,2)=2, down (1,0)=3, up (2,0)=6.
   EXPECT_EQ(neighbors, (std::set<count_t>{1, 2, 3, 6}));
@@ -52,7 +53,7 @@ TEST(Builders, TorusNeighborsWrapAround) {
 
 TEST(Builders, RandomRegularHasExactDegrees) {
   rng::Xoshiro256pp gen(1);
-  const Topology t = random_regular(200, 6, gen);
+  const AgentGraph t = random_regular(200, 6, gen);
   EXPECT_EQ(t.num_nodes(), 200u);
   EXPECT_EQ(t.min_degree(), 6u);
   EXPECT_EQ(t.max_degree(), 6u);
@@ -60,9 +61,9 @@ TEST(Builders, RandomRegularHasExactDegrees) {
 
 TEST(Builders, RandomRegularIsSimple) {
   rng::Xoshiro256pp gen(2);
-  const Topology t = random_regular(100, 4, gen);
+  const AgentGraph t = random_regular(100, 4, gen);
   for (count_t v = 0; v < 100; ++v) {
-    const auto neigh = t.neighbors(v);
+    const auto neigh = t.neighbors_of(v);
     std::set<count_t> unique(neigh.begin(), neigh.end());
     EXPECT_EQ(unique.size(), neigh.size()) << "parallel edge at " << v;
     EXPECT_EQ(unique.count(v), 0u) << "self loop at " << v;
@@ -72,8 +73,8 @@ TEST(Builders, RandomRegularIsSimple) {
 TEST(Builders, RandomRegularTypicallyConnected) {
   // Random d-regular graphs with d >= 3 are connected w.h.p.
   rng::Xoshiro256pp gen(3);
-  const Topology t = random_regular(300, 4, gen);
-  EXPECT_TRUE(t.connected());
+  const AgentGraph t = random_regular(300, 4, gen);
+  EXPECT_TRUE(connected(t));
 }
 
 TEST(Builders, RandomRegularOddProductThrows) {
@@ -84,7 +85,7 @@ TEST(Builders, RandomRegularOddProductThrows) {
 
 /// FNV-1a over every CSR row in node order: each row's degree, then its
 /// neighbor ids, each as 8 little-endian bytes.
-std::uint64_t fnv1a_rows(const Topology& t) {
+std::uint64_t fnv1a_rows(const AgentGraph& t) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t word) {
     for (int b = 0; b < 8; ++b) {
@@ -93,7 +94,7 @@ std::uint64_t fnv1a_rows(const Topology& t) {
     }
   };
   for (count_t v = 0; v < t.num_nodes(); ++v) {
-    const auto row = t.neighbors(v);
+    const auto row = t.neighbors_of(v);
     mix(row.size());
     for (count_t u : row) mix(u);
   }
@@ -126,7 +127,7 @@ TEST(Builders, RandomRegularGoldenAdjacency) {
   };
   for (const Case& c : cases) {
     rng::Xoshiro256pp gen(c.seed);
-    const Topology t = random_regular(c.n, c.d, gen);
+    const AgentGraph t = random_regular(c.n, c.d, gen);
     const std::uint64_t next = gen();
     EXPECT_EQ(fnv1a_rows(t), c.rows_hash)
         << "n=" << c.n << " d=" << c.d << " seed=" << c.seed;
@@ -214,7 +215,7 @@ TEST(Builders, RandomRegularIsSimpleAndSymmetricAtScale) {
   for (const count_t d : {count_t{8}, count_t{3}}) {
     const count_t n = 100000;
     rng::Xoshiro256pp gen(40 + d);
-    const Topology t = random_regular(n, d, gen);
+    const AgentGraph t = random_regular(n, d, gen);
     ASSERT_EQ(t.num_nodes(), n);
     ASSERT_EQ(t.num_arcs(), n * d);
     std::vector<std::pair<count_t, count_t>> arcs, reversed;
@@ -222,7 +223,7 @@ TEST(Builders, RandomRegularIsSimpleAndSymmetricAtScale) {
     reversed.reserve(n * d);
     std::vector<count_t> row;
     for (count_t v = 0; v < n; ++v) {
-      const auto neigh = t.neighbors(v);
+      const auto neigh = t.neighbors_of(v);
       ASSERT_EQ(neigh.size(), d) << "degree at " << v;
       row.assign(neigh.begin(), neigh.end());
       std::sort(row.begin(), row.end());
@@ -242,16 +243,16 @@ TEST(Builders, RandomRegularIsSimpleAndSymmetricAtScale) {
 
 TEST(Builders, ErdosRenyiHasRequestedEdges) {
   rng::Xoshiro256pp gen(5);
-  const Topology t = erdos_renyi(100, 400, gen);
+  const AgentGraph t = erdos_renyi(100, 400, gen);
   EXPECT_EQ(t.num_arcs(), 800u);  // each edge stored in both directions
 }
 
 TEST(Builders, ErdosRenyiEdgesAreDistinctAndSimple) {
   rng::Xoshiro256pp gen(6);
-  const Topology t = erdos_renyi(50, 200, gen);
+  const AgentGraph t = erdos_renyi(50, 200, gen);
   std::set<std::pair<count_t, count_t>> seen;
   for (count_t v = 0; v < 50; ++v) {
-    for (count_t u : t.neighbors(v)) {
+    for (count_t u : t.neighbors_of(v)) {
       EXPECT_NE(u, v);
       if (v < u) seen.insert({v, u});
     }
@@ -261,7 +262,7 @@ TEST(Builders, ErdosRenyiEdgesAreDistinctAndSimple) {
 
 TEST(Builders, ErdosRenyiFullGraph) {
   rng::Xoshiro256pp gen(7);
-  const Topology t = erdos_renyi(10, 45, gen);  // complete K10
+  const AgentGraph t = erdos_renyi(10, 45, gen);  // complete K10
   EXPECT_EQ(t.min_degree(), 9u);
 }
 

@@ -72,7 +72,7 @@ std::vector<std::vector<state_t>> batched_trajectory(const Dynamics& dynamics,
   return trajectory(dynamics, graph, start, seed, EngineMode::Batched, rounds, tuning);
 }
 
-Topology test_regular(count_t n, count_t d, std::uint64_t seed) {
+AgentGraph test_regular(count_t n, count_t d, std::uint64_t seed) {
   rng::Xoshiro256pp gen(seed);
   return random_regular(n, d, gen);
 }
@@ -86,13 +86,12 @@ std::vector<Scenario> scenarios() {
   rng::Xoshiro256pp topo_gen(1234);
   std::vector<Scenario> out;
   out.push_back({"clique", AgentGraph::complete(900)});
-  out.push_back({"ring", AgentGraph::from_topology(cycle(900))});
+  out.push_back({"ring", cycle(900)});
   out.push_back(
-      {"random 8-regular", AgentGraph::from_topology(random_regular(900, 8, topo_gen))});
+      {"random 8-regular", random_regular(900, 8, topo_gen)});
   // An irregular graph exercises the CSR (non-fused) pipeline too.
-  out.push_back({"G(n,m)", AgentGraph::from_topology(
-                               erdos_renyi(900, 3600, topo_gen, /*patch_isolated=*/true))});
-  out.push_back({"torus", AgentGraph::from_topology(torus(30, 30))});
+  out.push_back({"G(n,m)", erdos_renyi(900, 3600, topo_gen, /*patch_isolated=*/true)});
+  out.push_back({"torus", torus(30, 30)});
   // The implicit samplers compute neighbors arithmetically in the kernels.
   out.push_back({"implicit ring", AgentGraph::implicit(ImplicitTopology::ring(900))});
   out.push_back(
@@ -144,7 +143,7 @@ TEST(GraphBatched, TileSizeNeverChangesResults) {
   ThreeMajority majority;
   UndecidedState undecided;
   rng::Xoshiro256pp topo_gen(5);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(1000, 8, topo_gen));
+  const AgentGraph graph = random_regular(1000, 8, topo_gen);
   const Configuration start = workloads::additive_bias(1000, 3, 250);
   const Configuration start_undecided = UndecidedState::extend_with_undecided(start);
 
@@ -181,7 +180,7 @@ TEST(GraphBatched, ThreadCountNeverChangesResults) {
   };
   ThreeMajority majority;
   rng::Xoshiro256pp topo_gen(6);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(1200, 8, topo_gen));
+  const AgentGraph graph = random_regular(1200, 8, topo_gen);
   const Configuration start = workloads::additive_bias(1200, 3, 300);
 
   std::vector<std::vector<state_t>> baseline;
@@ -239,9 +238,9 @@ TEST(GraphBatched, CrossModeConsensusTimesAgree) {
                             {&majority, &undecided}});
   // ODD ring: on an even cycle the synchronous voter is bipartite and can
   // oscillate forever instead of coalescing.
-  mode_scenarios.push_back({"ring", AgentGraph::from_topology(cycle(63)), 63, {&voter}});
+  mode_scenarios.push_back({"ring", cycle(63), 63, {&voter}});
   mode_scenarios.push_back({"random 8-regular",
-                            AgentGraph::from_topology(random_regular(900, 8, topo_gen)),
+                            random_regular(900, 8, topo_gen),
                             900,
                             {&majority, &undecided}});
 
@@ -304,7 +303,7 @@ TEST(GraphBatched, RuleTableFallsBackToStrict) {
   EXPECT_FALSE(batched_has_kernel(first));
 
   rng::Xoshiro256pp topo_gen(8);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(600, 6, topo_gen));
+  const AgentGraph graph = random_regular(600, 6, topo_gen);
   const Configuration start = workloads::additive_bias(600, 3, 150);
   GraphSimulation strict(first, graph, start, 21, true, EngineMode::Strict);
   GraphSimulation batched(first, graph, start, 21, true, EngineMode::Batched);
@@ -323,7 +322,7 @@ TEST(StepTuningKnobs, StrictPrefetchWindowIsBitwiseInert) {
   // path must reproduce it exactly (same draw order, same states).
   const ThreeMajority majority;
   const UndecidedState undecided;
-  const AgentGraph graph = AgentGraph::from_topology(test_regular(1500, 8, 51));
+  const AgentGraph graph = test_regular(1500, 8, 51);
   const Configuration start3 = workloads::parse_workload("bias:40", 1500, 3);
   const Configuration startu =
       UndecidedState::extend_with_undecided(workloads::parse_workload("bias:40", 1500, 3));
@@ -340,7 +339,7 @@ TEST(StepTuningKnobs, StrictPrefetchWindowIsBitwiseInert) {
 
 TEST(StepTuningKnobs, BatchedTileAndPrefetchAreBitwiseInert) {
   const ThreeMajority majority;
-  const AgentGraph graph = AgentGraph::from_topology(test_regular(1500, 8, 52));
+  const AgentGraph graph = test_regular(1500, 8, 52);
   const Configuration start = workloads::parse_workload("bias:40", 1500, 3);
   const auto reference = trajectory(majority, graph, start, 63, EngineMode::Batched, 4);
   for (const std::uint32_t tile : {0u, 64u, 777u, 8192u}) {

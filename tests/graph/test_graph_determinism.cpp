@@ -48,7 +48,7 @@ std::vector<count_t> counts_of(const Configuration& c) {
 
 TEST(GoldenGraphTrajectories, RingMajority) {
   ThreeMajority dyn;
-  const Topology topo = cycle(60);
+  const AgentGraph topo = cycle(60);
   const Configuration start = workloads::additive_bias(60, 3, 18);
   const std::vector<count_t> golden = {33, 8, 19};
 
@@ -63,7 +63,7 @@ TEST(GoldenGraphTrajectories, RingMajority) {
 
 TEST(GoldenGraphTrajectories, TorusUndecided) {
   UndecidedState dyn;
-  const Topology topo = torus(10, 10);
+  const AgentGraph topo = torus(10, 10);
   const Configuration start =
       UndecidedState::extend_with_undecided(workloads::additive_bias(100, 4, 20));
   const std::vector<count_t> golden = {75, 0, 5, 9, 11};
@@ -79,7 +79,7 @@ TEST(GoldenGraphTrajectories, TorusUndecided) {
 
 TEST(GoldenGraphTrajectories, CliqueMajority) {
   ThreeMajority dyn;
-  const Topology topo = Topology::complete(150);
+  const AgentGraph topo = AgentGraph::complete(150);
   const Configuration start = workloads::additive_bias(150, 3, 30);
   const std::vector<count_t> golden = {140, 3, 7};
 
@@ -115,8 +115,8 @@ class EngineVsReference : public ::testing::TestWithParam<EngineVsReferenceCase>
 TEST_P(EngineVsReference, BitwiseEqualOnRandomRegular) {
   const auto& param = GetParam();
   rng::Xoshiro256pp topo_gen(42);
-  const Topology topo = random_regular(param.nodes, 6, topo_gen);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
+  const AgentGraph topo = random_regular(param.nodes, 6, topo_gen);
+  const AgentGraph& csr = topo;
   const Configuration start = reference_start(param);
 
   ReferenceGraphSimulation ref(*param.dynamics, topo, start, 1234, param.shuffle_layout);
@@ -133,7 +133,7 @@ TEST_P(EngineVsReference, BitwiseEqualOnRandomRegular) {
 
 TEST_P(EngineVsReference, BitwiseEqualOnClique) {
   const auto& param = GetParam();
-  const Topology topo = Topology::complete(param.nodes);
+  const AgentGraph topo = AgentGraph::complete(param.nodes);
   const Configuration start = reference_start(param);
 
   ReferenceGraphSimulation ref(*param.dynamics, topo, start, 555, param.shuffle_layout);
@@ -215,8 +215,8 @@ TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
   // it).
   const state_t k = 300;
   rng::Xoshiro256pp topo_gen(77);
-  const Topology topo = random_regular(600, 6, topo_gen);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
+  const AgentGraph topo = random_regular(600, 6, topo_gen);
+  const AgentGraph& csr = topo;
   std::vector<count_t> counts(k, 2);  // 600 nodes over 300 colors
   const Configuration start(std::move(counts));
 
@@ -245,7 +245,7 @@ TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
   ThreeMajority majority;
   UndecidedState undecided;
   rng::Xoshiro256pp topo_gen(11);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(120, 4, topo_gen));
+  const AgentGraph graph = random_regular(120, 4, topo_gen);
   const Configuration start_a = workloads::additive_bias(120, 3, 30);
   const Configuration start_b =
       UndecidedState::extend_with_undecided(workloads::additive_bias(120, 5, 20));
@@ -284,7 +284,7 @@ TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
 TEST(GoldenGraphTrajectories, GraphTrialSummary) {
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(8);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(300, 8, topo_gen));
+  const AgentGraph graph = random_regular(300, 8, topo_gen);
   CommonTrialOptions options;
   options.trials = 24;
   options.seed = 31;
@@ -371,7 +371,7 @@ TEST(GoldenGraphTrajectories, PerTrialRegular8K4Adversary) {
   // read the same states in the same order and make the same draws.
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(163);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(400, 8, topo_gen));
+  const AgentGraph graph = random_regular(400, 8, topo_gen);
   const RandomCorruption adversary(1);
   CommonTrialOptions options;
   options.trials = 8;
@@ -388,7 +388,7 @@ TEST(GoldenGraphTrajectories, PerTrialRegular8K4Adversary) {
 TEST(GoldenGraphTrajectories, PerTrialRegular8K300Strict) {
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(164);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(3000, 8, topo_gen));
+  const AgentGraph graph = random_regular(3000, 8, topo_gen);
   CommonTrialOptions options;
   options.trials = 4;
   options.seed = 164;
@@ -413,7 +413,7 @@ struct ThreadCountGuard {
 
 TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
   UndecidedState dyn;
-  const Topology topo = torus(12, 12);
+  const AgentGraph topo = torus(12, 12);
   const Configuration start =
       UndecidedState::extend_with_undecided(workloads::additive_bias(144, 3, 40));
 
@@ -439,7 +439,7 @@ TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
 
 TrialSummary torus_trials(bool parallel) {
   ThreeMajority dyn;
-  const AgentGraph graph = AgentGraph::from_topology(torus(10, 10));
+  const AgentGraph graph = torus(10, 10);
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 2026;

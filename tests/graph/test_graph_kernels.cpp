@@ -45,7 +45,7 @@ namespace {
 /// Fixed 7-node test graph with heterogeneous degrees (0:4, 1:3, 2:2, 3:2,
 /// 4:3, 5:2, 6:2) — includes the battery's target nodes of degree 4 and 2.
 AgentGraph battery_graph() {
-  const std::vector<std::pair<count_t, count_t>> edges = {
+  const std::vector<AgentGraph::Edge> edges = {
       {0, 1}, {0, 3}, {0, 5}, {0, 6}, {1, 2}, {2, 3}, {4, 5}, {4, 6}, {1, 4}};
   return AgentGraph::from_edges(7, edges);
 }

@@ -18,8 +18,8 @@ namespace {
 
 using Param = std::tuple<std::string, std::string>;
 
-Topology make_topology(const std::string& name, count_t n, rng::Xoshiro256pp& gen) {
-  if (name == "complete") return Topology::complete(n);
+AgentGraph make_topology(const std::string& name, count_t n, rng::Xoshiro256pp& gen) {
+  if (name == "complete") return AgentGraph::complete(n);
   if (name == "cycle") return cycle(n);
   if (name == "torus") {
     const count_t side = 12;
@@ -35,7 +35,7 @@ class GraphDynamicsProperties : public ::testing::TestWithParam<Param> {
   void SetUp() override {
     const count_t n = 144;  // 12x12 torus compatible
     rng::Xoshiro256pp gen(1);
-    topology_ = std::make_unique<Topology>(
+    topology_ = std::make_unique<AgentGraph>(
         make_topology(std::get<1>(GetParam()), n, gen));
     dynamics_ = make_dynamics(std::get<0>(GetParam()));
     const Configuration colors = workloads::additive_bias(n, 3, 30);
@@ -44,7 +44,7 @@ class GraphDynamicsProperties : public ::testing::TestWithParam<Param> {
                  : colors;
   }
 
-  std::unique_ptr<Topology> topology_;
+  std::unique_ptr<AgentGraph> topology_;
   std::unique_ptr<Dynamics> dynamics_;
   Configuration start_;
 };

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/backend.hpp"
 #include "core/majority.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/builders.hpp"
+#include "rng/distributions.hpp"
 #include "stats/chi_square.hpp"
 #include "support/check.hpp"
 
@@ -15,7 +19,7 @@ namespace {
 
 TEST(GraphSim, PreservesPopulation) {
   ThreeMajority dynamics;
-  const Topology topo = torus(10, 10);
+  const AgentGraph topo = torus(10, 10);
   GraphSimulation sim(dynamics, topo, workloads::additive_bias(100, 3, 30), 1);
   for (int round = 0; round < 20; ++round) {
     sim.step();
@@ -25,7 +29,7 @@ TEST(GraphSim, PreservesPopulation) {
 
 TEST(GraphSim, DeterministicForSeed) {
   ThreeMajority dynamics;
-  const Topology topo = cycle(60);
+  const AgentGraph topo = cycle(60);
   GraphSimulation a(dynamics, topo, workloads::additive_bias(60, 2, 20), 7);
   GraphSimulation b(dynamics, topo, workloads::additive_bias(60, 2, 20), 7);
   for (int round = 0; round < 10; ++round) {
@@ -37,19 +41,19 @@ TEST(GraphSim, DeterministicForSeed) {
 
 TEST(GraphSim, PopulationMismatchThrows) {
   ThreeMajority dynamics;
-  const Topology topo = cycle(10);
+  const AgentGraph topo = cycle(10);
   EXPECT_THROW(
       GraphSimulation(dynamics, topo, workloads::additive_bias(20, 2, 5), 1),
       CheckError);
 }
 
 TEST(GraphSim, CompleteTopologyMatchesCliqueBackendInDistribution) {
-  // On Topology::complete, one GraphSimulation round must sample the same
+  // On AgentGraph::complete, one GraphSimulation round must sample the same
   // transition distribution as the clique count-based backend.
   ThreeMajority dynamics;
   const count_t n = 150;
   const Configuration start({80, 40, 30});
-  const Topology topo = Topology::complete(n);
+  const AgentGraph topo = AgentGraph::complete(n);
 
   const int kTrials = 3000;
   std::vector<std::uint64_t> graph_hist(n + 1, 0), count_hist(n + 1, 0);
@@ -73,7 +77,7 @@ TEST(GraphSim, ConsensusOnDenseRandomGraph) {
   // still reach consensus on the plurality.
   ThreeMajority dynamics;
   rng::Xoshiro256pp topo_gen(10);
-  const Topology topo = random_regular(500, 16, topo_gen);
+  const AgentGraph topo = random_regular(500, 16, topo_gen);
   GraphSimulation sim(dynamics, topo, workloads::additive_bias(500, 2, 300), 11);
   const round_t rounds = sim.run_to_consensus(2000);
   EXPECT_LT(rounds, 2000u);
@@ -85,7 +89,7 @@ TEST(GraphSim, VoterOnCycleEventuallyAbsorbs) {
   // The voter on a small cycle absorbs in reasonable time; mostly a smoke
   // test of neighbor sampling on a sparse topology.
   Voter dynamics;
-  const Topology topo = cycle(30);
+  const AgentGraph topo = cycle(30);
   GraphSimulation sim(dynamics, topo, workloads::balanced(30, 2), 12);
   const round_t rounds = sim.run_to_consensus(200000);
   EXPECT_LT(rounds, 200000u);
@@ -94,7 +98,7 @@ TEST(GraphSim, VoterOnCycleEventuallyAbsorbs) {
 
 TEST(GraphSim, ShuffleLayoutChangesNodePlacementNotCounts) {
   ThreeMajority dynamics;
-  const Topology topo = cycle(50);
+  const AgentGraph topo = cycle(50);
   const Configuration start = workloads::additive_bias(50, 2, 10);
   GraphSimulation plain(dynamics, topo, start, 13, /*shuffle_layout=*/false);
   GraphSimulation shuffled(dynamics, topo, start, 13, /*shuffle_layout=*/true);
@@ -104,7 +108,7 @@ TEST(GraphSim, ShuffleLayoutChangesNodePlacementNotCounts) {
 
 TEST(GraphSim, RoundCounterAdvances) {
   Voter dynamics;
-  const Topology topo = cycle(10);
+  const AgentGraph topo = cycle(10);
   GraphSimulation sim(dynamics, topo, workloads::balanced(10, 2), 14);
   EXPECT_EQ(sim.round(), 0u);
   sim.step();
@@ -118,15 +122,11 @@ TEST(GraphSim, IsolatedVertexRejected) {
   // Node 3 has no edges: it cannot sample, so the engine must refuse the
   // topology up front instead of drawing uniform_below(gen, 0) mid-round.
   ThreeMajority dynamics;
-  const std::vector<std::pair<count_t, count_t>> edges = {{0, 1}, {1, 2}, {2, 0}};
-  const Topology topo = Topology::from_edges(4, edges);
+  const std::vector<AgentGraph::Edge> edges = {{0, 1}, {1, 2}, {2, 0}};
+  const AgentGraph topo = AgentGraph::from_edges(4, edges);
   EXPECT_EQ(topo.min_degree(), 0u);
+  EXPECT_EQ(topo.degree(3), 0u);
   EXPECT_THROW(GraphSimulation(dynamics, topo, workloads::balanced(4, 2), 1),
-               CheckError);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
-  EXPECT_EQ(csr.min_degree(), 0u);
-  EXPECT_EQ(csr.degree(3), 0u);
-  EXPECT_THROW(GraphSimulation(dynamics, csr, workloads::balanced(4, 2), 1),
                CheckError);
 }
 
@@ -134,9 +134,9 @@ TEST(GraphSim, ErdosRenyiPatchIsolatedLeavesNoDegreeZero) {
   // Sparse G(n, m) (m = n/4) leaves many isolated vertices; with
   // patch_isolated every node must end up sampleable.
   rng::Xoshiro256pp gen(15);
-  const Topology sparse = erdos_renyi(200, 50, gen, /*patch_isolated=*/false);
+  const AgentGraph sparse = erdos_renyi(200, 50, gen, /*patch_isolated=*/false);
   EXPECT_EQ(sparse.min_degree(), 0u) << "workload regression: pick a sparser m";
-  const Topology patched = erdos_renyi(200, 50, gen, /*patch_isolated=*/true);
+  const AgentGraph patched = erdos_renyi(200, 50, gen, /*patch_isolated=*/true);
   EXPECT_GE(patched.min_degree(), 1u);
   // Patching must make the topology acceptable to the engine.
   ThreeMajority dynamics;
@@ -153,9 +153,9 @@ TEST(GraphSim, RandomRegularBuilderRejectsSelfLoops) {
   // stub pool is tight.
   for (const count_t n : {8u, 20u, 150u}) {
     rng::Xoshiro256pp gen(17 + n);
-    const Topology topo = random_regular(n, 4, gen);
+    const AgentGraph topo = random_regular(n, 4, gen);
     for (count_t v = 0; v < n; ++v) {
-      for (const count_t u : topo.neighbors(v)) {
+      for (const count_t u : topo.neighbors_of(v)) {
         ASSERT_NE(u, v) << "self-loop at node " << v << " (n=" << n << ")";
       }
     }
@@ -164,9 +164,9 @@ TEST(GraphSim, RandomRegularBuilderRejectsSelfLoops) {
 
 TEST(GraphSim, ErdosRenyiBuilderRejectsSelfLoops) {
   rng::Xoshiro256pp gen(18);
-  const Topology topo = erdos_renyi(120, 300, gen, /*patch_isolated=*/true);
+  const AgentGraph topo = erdos_renyi(120, 300, gen, /*patch_isolated=*/true);
   for (count_t v = 0; v < 120; ++v) {
-    for (const count_t u : topo.neighbors(v)) {
+    for (const count_t u : topo.neighbors_of(v)) {
       ASSERT_NE(u, v) << "self-loop at node " << v;
     }
   }
@@ -175,40 +175,69 @@ TEST(GraphSim, ErdosRenyiBuilderRejectsSelfLoops) {
 TEST(GraphSim, ExplicitSelfLoopsAreStillLegalTopologyInput) {
   // from_edges supports self-loops by contract (sampling semantics): a
   // self-loop contributes ONE arc, and the node can sample itself.
-  const std::vector<std::pair<count_t, count_t>> edges = {{0, 0}, {0, 1}, {1, 2}, {2, 0}};
-  const Topology topo = Topology::from_edges(3, edges);
+  const std::vector<AgentGraph::Edge> edges = {{0, 0}, {0, 1}, {1, 2}, {2, 0}};
+  const AgentGraph topo = AgentGraph::from_edges(3, edges);
   EXPECT_EQ(topo.degree(0), 3u);  // self-loop once + two neighbors
-  const AgentGraph csr = AgentGraph::from_topology(topo);
-  EXPECT_EQ(csr.degree(0), 3u);
   Voter dynamics;
-  GraphSimulation sim(dynamics, csr, workloads::balanced(3, 3), 19,
+  GraphSimulation sim(dynamics, topo, workloads::balanced(3, 3), 19,
                       /*shuffle_layout=*/false);
   sim.step();
   EXPECT_EQ(sim.configuration().n(), 3u);
 }
 
-// --- CSR packing. ----------------------------------------------------------
-
-TEST(AgentGraphCsr, PackingPreservesTopology) {
-  rng::Xoshiro256pp gen(20);
-  const Topology topo = erdos_renyi(80, 200, gen, /*patch_isolated=*/true);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
-  ASSERT_EQ(csr.num_nodes(), topo.num_nodes());
-  ASSERT_EQ(csr.num_arcs(), topo.num_arcs());
-  EXPECT_EQ(csr.min_degree(), topo.min_degree());
-  EXPECT_EQ(csr.max_degree(), topo.max_degree());
-  for (count_t v = 0; v < csr.num_nodes(); ++v) {
-    const auto expected = topo.neighbors(v);
-    const auto actual = csr.neighbors_of(v);
-    ASSERT_EQ(actual.size(), expected.size()) << "node " << v;
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-      ASSERT_EQ(static_cast<count_t>(actual[i]), expected[i]) << "node " << v;
-    }
+TEST(GraphSim, OwnsATemporaryGraph) {
+  // A graph passed as a temporary is moved into the simulation, which then
+  // steps exactly like one borrowing an identical caller-owned graph.
+  ThreeMajority dynamics;
+  const Configuration start = workloads::additive_bias(60, 2, 20);
+  const AgentGraph borrowed = cycle(60);
+  GraphSimulation owning(dynamics, cycle(60), start, 7);
+  GraphSimulation borrowing(dynamics, borrowed, start, 7);
+  EXPECT_NE(&owning.graph(), &borrowed);
+  EXPECT_EQ(owning.graph().num_arcs(), 120u);
+  for (int round = 0; round < 10; ++round) {
+    owning.step();
+    borrowing.step();
+    ASSERT_EQ(owning.states(), borrowing.states()) << "round " << round;
   }
 }
 
+// --- CSR packing. ----------------------------------------------------------
+
+TEST(AgentGraphCsr, FromEdgesRowsFollowEdgeListOrder) {
+  // Row v lists v's incident edges in list order: (u, v) puts v in row u and
+  // u in row v, a self-loop is stored once and parallel edges repeat.
+  rng::Xoshiro256pp gen(20);
+  const count_t n = 80;
+  std::vector<AgentGraph::Edge> edges;
+  for (int e = 0; e < 300; ++e) {
+    edges.emplace_back(static_cast<std::uint32_t>(rng::uniform_below(gen, n)),
+                       static_cast<std::uint32_t>(rng::uniform_below(gen, n)));
+  }
+  edges.push_back(edges.front());  // a parallel edge
+  std::vector<std::vector<std::uint32_t>> rows(n);
+  for (const auto& [u, v] : edges) {
+    rows[u].push_back(v);
+    if (u != v) rows[v].push_back(u);
+  }
+  const AgentGraph csr = AgentGraph::from_edges(n, edges);
+  ASSERT_EQ(csr.num_nodes(), n);
+  count_t arcs = 0, min_degree = rows[0].size(), max_degree = 0;
+  for (count_t v = 0; v < n; ++v) {
+    const auto actual = csr.neighbors_of(v);
+    ASSERT_EQ(std::vector<std::uint32_t>(actual.begin(), actual.end()), rows[v])
+        << "node " << v;
+    arcs += rows[v].size();
+    min_degree = std::min<count_t>(min_degree, rows[v].size());
+    max_degree = std::max<count_t>(max_degree, rows[v].size());
+  }
+  EXPECT_EQ(csr.num_arcs(), arcs);
+  EXPECT_EQ(csr.min_degree(), min_degree);
+  EXPECT_EQ(csr.max_degree(), max_degree);
+}
+
 TEST(AgentGraphCsr, SingleArenaLayout) {
-  const AgentGraph csr = AgentGraph::from_topology(cycle(10));
+  const AgentGraph csr = cycle(10);
   // Offsets and neighbors live in one contiguous arena: the neighbor array
   // begins exactly one u64 row past the n+1 offsets.
   EXPECT_EQ(static_cast<const void*>(csr.neighbors()),

@@ -34,7 +34,7 @@ std::vector<count_t> tally(const std::vector<state_t>& nodes, state_t k) {
 TEST(GraphTrials, BiasedStartOnExpanderReachesPluralityConsensus) {
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(5);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(400, 10, topo_gen));
+  const AgentGraph graph = random_regular(400, 10, topo_gen);
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 9;
@@ -50,7 +50,7 @@ TEST(GraphTrials, BiasedStartOnExpanderReachesPluralityConsensus) {
 TEST(GraphTrials, RoundLimitIsReported) {
   // The voter on a large cycle mixes in Θ(n^2); 3 rounds cannot absorb.
   Voter dyn;
-  const AgentGraph graph = AgentGraph::from_topology(cycle(200));
+  const AgentGraph graph = cycle(200);
   CommonTrialOptions options;
   options.trials = 8;
   options.seed = 11;
@@ -132,7 +132,7 @@ TEST(GraphTrials, StopPredicateIsCheckedAtRoundZero) {
   // As on the count path: a start that already satisfies the predicate
   // stops before the first round.
   ThreeMajority dyn;
-  const AgentGraph graph = AgentGraph::from_topology(cycle(200));
+  const AgentGraph graph = cycle(200);
   CommonTrialOptions options;
   options.trials = 4;
   options.seed = 3;
@@ -144,7 +144,7 @@ TEST(GraphTrials, StopPredicateIsCheckedAtRoundZero) {
 
 TEST(GraphTrials, FactoryReceivesTrialIndex) {
   ThreeMajority dyn;
-  const AgentGraph graph = AgentGraph::from_topology(cycle(60));
+  const AgentGraph graph = cycle(60);
   CommonTrialOptions options;
   options.trials = 6;
   options.seed = 3;
@@ -165,7 +165,7 @@ TEST(GraphTrials, FactoryReceivesTrialIndex) {
 TEST(GraphTrials, IsolatedVertexRejected) {
   ThreeMajority dyn;
   // Node 3 has no edges.
-  const std::vector<std::pair<count_t, count_t>> edges = {{0, 1}, {1, 2}, {2, 0}};
+  const std::vector<AgentGraph::Edge> edges = {{0, 1}, {1, 2}, {2, 0}};
   const AgentGraph graph = AgentGraph::from_edges(4, edges);
   CommonTrialOptions options;
   options.trials = 2;

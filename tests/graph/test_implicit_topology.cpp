@@ -34,9 +34,8 @@
 namespace plurality::graph {
 namespace {
 
-void expect_matches_arena_rows(const ImplicitTopology& topo, const Topology& arena_topo,
+void expect_matches_arena_rows(const ImplicitTopology& topo, const AgentGraph& arena,
                                const char* label) {
-  const AgentGraph arena = AgentGraph::from_topology(arena_topo);
   ASSERT_EQ(arena.num_nodes(), topo.n) << label;
   for (count_t v = 0; v < arena.num_nodes(); ++v) {
     const auto row = arena.neighbors_of(v);
@@ -95,13 +94,13 @@ TEST(ImplicitTopology, ImplicitMatchesArenaBitwise) {
     AgentGraph implicit_graph;
   };
   std::vector<Case> cases;
-  cases.push_back({"ring", AgentGraph::from_topology(cycle(900)),
+  cases.push_back({"ring", cycle(900),
                    AgentGraph::implicit(ImplicitTopology::ring(900))});
-  cases.push_back({"torus", AgentGraph::from_topology(torus(30, 30)),
+  cases.push_back({"torus", torus(30, 30),
                    AgentGraph::implicit(ImplicitTopology::torus(30, 30))});
-  cases.push_back({"torus 20x45", AgentGraph::from_topology(torus(20, 45)),
+  cases.push_back({"torus 20x45", torus(20, 45),
                    AgentGraph::implicit(ImplicitTopology::torus(20, 45))});
-  cases.push_back({"lattice:6", AgentGraph::from_topology(circulant_lattice(900, 6)),
+  cases.push_back({"lattice:6", circulant_lattice(900, 6),
                    AgentGraph::implicit(ImplicitTopology::lattice(900, 6))});
   const Configuration start = workloads::additive_bias(900, 3, 200);
   for (auto& c : cases) {
