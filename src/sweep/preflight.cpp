@@ -1,9 +1,11 @@
 #include "sweep/preflight.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
+#include "core/execution_plan.hpp"
 #include "core/registry.hpp"
 #include "graph/graph_workspace.hpp"
 
@@ -52,7 +54,8 @@ std::uint64_t estimate_edges(const std::string& topology, std::uint64_t n) {
     if (kind == "torus") return sat_mul(2, n);
     if (kind == "lattice") return sat_mul(std::stoull(arg), n) / 2;
     if (kind == "regular") return sat_add(sat_mul(std::stoull(arg), n), 1) / 2;
-    if (kind == "gnm") return std::stoull(arg);
+    // Patching isolated vertices adds at most one edge per node.
+    if (kind == "gnm") return sat_add(std::stoull(arg), n);
     if (kind == "er") {
       const double p = std::stod(arg);
       // Mean p*C(n,2) plus slack for the binomial tail.
@@ -90,7 +93,7 @@ std::uint64_t graph_state_bytes_per_node(const scenario::ScenarioSpec& spec) {
 
 }  // namespace
 
-std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
+std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec, int threads) {
   std::string backend;
   try {
     backend = spec.resolved_backend();
@@ -116,18 +119,38 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
   } catch (...) {
     topo_backend = spec.topology_backend;  // "auto" falls to the arena model
   }
-  const std::uint64_t workspace =
-      sat_add(sat_mul(graph_state_bytes_per_node(spec), n), 64 * k * 8);
+  // One step workspace per trial in flight: a `trials` plan gives each
+  // thread of the team its own, a `rounds` plan shares one.
+  const ExecutionPlan plan =
+      plan_execution(spec.trials, TrialDriver::Graph, n, std::max(threads, 1));
+  const std::uint64_t in_flight =
+      plan.parallelism == Parallelism::Trials
+          ? std::min<std::uint64_t>(spec.trials, static_cast<std::uint64_t>(plan.threads))
+          : 1;
+  const std::uint64_t workspace = sat_mul(
+      sat_add(sat_mul(graph_state_bytes_per_node(spec), n), 64 * k * 8), in_flight);
   if (topo_backend == "implicit") {
     return sat_add(kFixed, workspace);
   }
-  // Arena build: CSR (offsets u64 + both directions' endpoints u32) plus
-  // the workspace, with 1.5x construction slack (the builder holds an edge
-  // list alongside the arena while packing).
+  // Arena build: the CSR (n + 1 u64 offsets, one u32 per arc) plus what
+  // its builder holds beside it (graph/builders.cpp): ring/torus/lattice
+  // nothing; regular its stubs (one u32 per arc) and row fill counts (u32
+  // per node); er/gnm/edges a u32 edge list (8 B per edge, doubled for
+  // vector growth), and er/gnm also the duplicate filter before it
+  // (an unordered_set of u64: ~32 B per node allocation plus 16 B of
+  // buckets per edge).
   const std::uint64_t m = estimate_edges(spec.topology, n);
-  const std::uint64_t csr =
-      sat_add(sat_mul(sat_add(n, 1), 8), sat_mul(sat_mul(2, m), 4));
-  return sat_add(sat_add(kFixed, sat_mul(csr, 3) / 2), workspace);
+  const std::uint64_t arcs = sat_mul(2, m);
+  const std::uint64_t csr = sat_add(sat_mul(sat_add(n, 2), 8), sat_mul(arcs, 4));
+  const std::string kind = spec.topology.substr(0, spec.topology.find(':'));
+  std::uint64_t builder = 0;
+  if (kind == "regular") {
+    builder = sat_add(sat_mul(arcs, 4), sat_mul(n, 4));
+  } else if (kind == "er" || kind == "gnm" || kind == "edges") {
+    builder = sat_mul(m, 16);
+    if (kind != "edges") builder = sat_add(builder, sat_mul(m, 48));
+  }
+  return sat_add(sat_add(kFixed, sat_add(csr, builder)), workspace);
 }
 
 std::uint64_t default_memory_budget_bytes() {

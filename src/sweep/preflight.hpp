@@ -20,20 +20,25 @@
 #include <cstdint>
 #include <string>
 
+#include "core/execution_plan.hpp"
 #include "scenario/spec.hpp"
 
 namespace plurality::sweep {
 
 /// Upper-bound estimate of one cell's peak heap use in bytes, derived from
 /// the resolved backend, n, k, and — for arena-backed graph cells — the
-/// topology's edge count. Cells whose topology resolves to the implicit
-/// backend are billed for the state arrays only (no CSR arena; the whole
-/// point of gossip/implicit cells at n = 1e9). All arithmetic saturates
-/// instead of wrapping, so a clique at n = 7e9 estimates "cannot fit"
-/// rather than wrapping u64 into "fits". Never throws on a well-formed
-/// spec; an unparseable topology argument returns a clique-sized worst
-/// case (validation will reject the cell anyway).
-[[nodiscard]] std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec);
+/// topology's edge count and its builder's transient. Graph cells bill one
+/// step workspace per trial in flight under the plan plan_execution picks
+/// for `threads` (a `trials` plan runs min(trials, threads) at once).
+/// Cells whose topology resolves to the implicit backend are billed for
+/// the state arrays only (no CSR arena; the whole point of gossip/implicit
+/// cells at n = 1e9). All arithmetic saturates instead of wrapping, so a
+/// clique at n = 7e9 estimates "cannot fit" rather than wrapping u64 into
+/// "fits". Never throws on a well-formed spec; an unparseable topology
+/// argument returns a clique-sized worst case (validation will reject the
+/// cell anyway).
+[[nodiscard]] std::uint64_t estimate_cell_memory_bytes(
+    const scenario::ScenarioSpec& spec, int threads = execution_thread_budget());
 
 /// The default sweep memory budget: ~80% of physical RAM, or 2 GiB when
 /// the platform won't say. SweepOptions::memory_budget_bytes overrides.

@@ -8,10 +8,19 @@
 // (gossip at n = 1e9 must fit a laptop budget, not be billed a clique
 // arena), and the coarse ordering the orchestrator relies on.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <string>
 
+#include "core/workloads.hpp"
+#include "graph/agent_graph.hpp"
+#include "graph/topology_registry.hpp"
 #include "scenario/spec.hpp"
 #include "support/check.hpp"
 #include "sweep/preflight.hpp"
@@ -54,14 +63,14 @@ TEST(Preflight, GossipBillionFitsSmallBudget) {
   // The whole point of the implicit path: gossip at n = 1e9, k = 2 is two
   // byte arrays (~2 GB), NOT a clique arena (~4e18 edges). The estimate
   // must admit the cell under a 3 GiB budget.
-  const auto spec = spec_of("topology=gossip n=1e9 k=2 engine=batched");
+  const auto spec = spec_of("topology=gossip n=1e9 k=2 trials=1 engine=batched");
   const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
   EXPECT_LT(estimate, std::uint64_t{3} << 30);
   EXPECT_GT(estimate, std::uint64_t{1} << 30);  // ~2n bytes of state is real
 }
 
 TEST(Preflight, ImplicitRingBillionFitsSmallBudget) {
-  const auto spec = spec_of("topology=ring n=1e9 k=3");
+  const auto spec = spec_of("topology=ring n=1e9 k=3 trials=1");
   EXPECT_LT(estimate_cell_memory_bytes(spec), std::uint64_t{3} << 30);
 }
 
@@ -126,6 +135,100 @@ TEST(Preflight, ByteStateCellsAreBilledTwoBytesPerNode) {
       spec_of("dynamics=undecided topology=gossip n=16777216 k=256 trials=1 "
               "engine=batched"));
   EXPECT_GE(undecided, 8 * n);
+}
+
+TEST(Preflight, TrialsPlanBillsOneWorkspacePerThread) {
+  // At 4 threads, trials = 1 runs under a `rounds` plan with one step
+  // workspace; trials = 4 runs under a `trials` plan, one trial (and one
+  // ~2n-byte workspace) per thread at once.
+  const std::uint64_t n = std::uint64_t{1} << 24;
+  const std::uint64_t one = estimate_cell_memory_bytes(
+      spec_of("topology=gossip n=16777216 k=2 trials=1 engine=batched"), 4);
+  const std::uint64_t four = estimate_cell_memory_bytes(
+      spec_of("topology=gossip n=16777216 k=2 trials=4 engine=batched"), 4);
+  EXPECT_GE(one, 2 * n);
+  EXPECT_LT(one, 3 * n);
+  EXPECT_GE(four, 4 * 2 * n);
+  EXPECT_LT(four, 4 * 3 * n);
+  // More trials than threads: still one workspace per thread.
+  EXPECT_EQ(four, estimate_cell_memory_bytes(
+                      spec_of("topology=gossip n=16777216 k=2 trials=20 engine=batched"), 4));
+}
+
+/// Peak RSS in bytes of a forked child that runs `body` (wait4's ru_maxrss).
+std::uint64_t child_peak_rss(const std::function<void()>& body) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    try {
+      body();
+    } catch (...) {
+      _exit(1);
+    }
+    _exit(0);
+  }
+  int status = 0;
+  rusage usage{};
+  EXPECT_EQ(wait4(pid, &status, 0, &usage), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+}
+
+TEST(Preflight, ArenaBuildsStayUnderTheirBill) {
+  // Each arena family built at n = 4e6 in a forked child, with one step
+  // workspace loaded beside it: the child's peak-RSS growth must stay under
+  // the cell's estimate. Growth is measured against a child that only runs
+  // the same family at a tiny n, so code pages faulted in by the builder
+  // are not counted as the cell's data. (lattice:8 once grew ~580 MiB
+  // while billed ~240 MiB: its builder held an edge list and a second CSR
+  // beside the arena.)
+  const count_t n = 4'000'000;
+  const auto temp = std::filesystem::temp_directory_path();
+  const std::string pid = std::to_string(getpid());
+  const std::filesystem::path big_edges = temp / ("preflight_edges_" + pid + ".txt");
+  const std::filesystem::path tiny_edges = temp / ("preflight_tiny_edges_" + pid + ".txt");
+  {
+    std::FILE* out = std::fopen(big_edges.c_str(), "w");
+    ASSERT_NE(out, nullptr);
+    for (count_t v = 0; v < n; v += 4) {
+      std::fprintf(out, "%llu %llu\n", static_cast<unsigned long long>(v),
+                   static_cast<unsigned long long>(v + 1));
+    }
+    std::fclose(out);
+    out = std::fopen(tiny_edges.c_str(), "w");
+    ASSERT_NE(out, nullptr);
+    std::fprintf(out, "0 1\n1 2\n");
+    std::fclose(out);
+  }
+  struct Case {
+    std::string topology, tiny_topology;
+    count_t tiny_n;
+  };
+  const Case cases[] = {{"ring", "ring", 1000},
+                        {"torus", "torus", 10000},
+                        {"lattice:8", "lattice:8", 1000},
+                        {"regular:4", "regular:4", 1000},
+                        {"gnm:4000000", "gnm:1000", 1000},
+                        {"er:0.0000005", "er:0.01", 1000},
+                        {"edges:" + big_edges.string(), "edges:" + tiny_edges.string(), 16}};
+  for (const Case& c : cases) {
+    const auto build = [](const std::string& topology, count_t nodes) {
+      rng::Xoshiro256pp gen(1);
+      const graph::AgentGraph graph = graph::make_topology(topology, nodes, gen);
+      graph::GraphStepWorkspace ws;
+      graph::load_nodes(workloads::balanced(nodes, 8), true, rng::StreamFactory(1), ws);
+    };
+    const std::uint64_t warm = child_peak_rss([&] { build(c.tiny_topology, c.tiny_n); });
+    const std::uint64_t peak = child_peak_rss([&] {
+      build(c.tiny_topology, c.tiny_n);
+      build(c.topology, n);
+    });
+    const std::uint64_t estimate = estimate_cell_memory_bytes(
+        spec_of("topology=" + c.topology + " n=4e6 k=8 trials=1 topology_backend=arena"), 1);
+    EXPECT_LT(peak - warm, estimate) << c.topology << ": grew " << format_bytes(peak - warm)
+                                     << ", billed " << format_bytes(estimate);
+  }
+  std::filesystem::remove(big_edges);
+  std::filesystem::remove(tiny_edges);
 }
 
 TEST(Preflight, FormatBytesIsHumanReadable) {
