@@ -94,9 +94,6 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
 AgentGraph erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
                        bool patch_isolated) {
   PLURALITY_REQUIRE(n >= 2, "erdos_renyi: need n >= 2");
-  PLURALITY_REQUIRE(n <= 4294967295ULL,
-                    "erdos_renyi: node ids are 32-bit, so n is capped at "
-                    "4294967295 (got " << n << ")");
   const std::uint64_t max_edges = n * (n - 1) / 2;
   PLURALITY_REQUIRE(m <= max_edges, "erdos_renyi: m exceeds the edge universe");
   std::vector<AgentGraph::Edge> edges;

@@ -10,7 +10,9 @@
 // batched) call neighbor(v, idx) instead of gathering from the arena, so
 // total simulation state collapses to the node-state arrays — at n = 10^9
 // with byte-wide states that is ~2 GB instead of a ~16 GB arena plus
-// 10 GB of workspace.
+// 10 GB of workspace. The price is speed: computing ids per draw ran
+// rounds 2-6.5x slower than the arena at n = 10^6 - 4*10^6
+// (docs/performance.md, "The implicit engine").
 //
 // THE NEIGHBOR ORDER IS A BITWISE CONTRACT, and this file is its only
 // definition: the arena form of ring, torus and lattice

@@ -1,7 +1,7 @@
 // Frozen pre-refactor implementation — see reference_sim.hpp. This is the
 // seed tree's GraphSimulation verbatim (only the class name and the graph
-// type changed: it reads AgentGraph rows where it read Topology rows); the
-// determinism suite depends on every RNG draw here staying put.
+// type it reads changed); the determinism suite depends on every RNG draw
+// here staying put.
 #include "graph/reference_sim.hpp"
 
 #include <array>
