@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,19 +155,36 @@ std::uint64_t arena_digest(const AgentGraph& g) {
   return h;
 }
 
+/// One make_topology build pinned by its arena digest and the generator
+/// word that follows it.
+struct DigestCase {
+  std::string spec;
+  count_t n;
+  std::uint64_t seed, digest, next_word;
+};
+
+void expect_digests(std::span<const DigestCase> cases) {
+  for (const DigestCase& c : cases) {
+    rng::Xoshiro256pp gen(c.seed);
+    const AgentGraph g = make_topology(c.spec, c.n, gen);
+    const std::uint64_t next = gen();
+    ASSERT_FALSE(g.is_complete() || g.is_implicit()) << c.spec;
+    EXPECT_EQ(g.arena_bytes(),
+              (c.n + 1 + (g.num_arcs() + 1) / 2) * sizeof(std::uint64_t))
+        << c.spec << " n=" << c.n;
+    EXPECT_EQ(arena_digest(g), c.digest) << c.spec << " n=" << c.n << " seed=" << c.seed;
+    EXPECT_EQ(next, c.next_word) << c.spec << " n=" << c.n << " seed=" << c.seed;
+  }
+}
+
 TEST(Builders, ArenaDigestGolden) {
   // Pins every arena family make_topology builds: the whole CSR (offsets,
   // neighbor ids in row order, arc count, degree range), the arena size,
   // and the generator state the build leaves behind. The structured
   // families include their smallest legal sizes.
-  struct Case {
-    std::string spec;
-    count_t n;
-    std::uint64_t seed, digest, next_word;
-  };
   const std::string edges =
       std::string("edges:") + PLURALITY_SOURCE_DIR + "/tests/graph/data/arena_digest_edges.txt";
-  const Case cases[] = {
+  const DigestCase cases[] = {
       {"ring", 3, 1, 0xcc3b508f6c18f843ULL, 0xcfc5d07f6f03c29bULL},
       {"ring", 4, 1, 0xa57a90d17c1ee2e5ULL, 0xcfc5d07f6f03c29bULL},
       {"ring", 1001, 1, 0xf52e06d7e3fddc88ULL, 0xcfc5d07f6f03c29bULL},
@@ -195,17 +213,22 @@ TEST(Builders, ArenaDigestGolden) {
       {"gnm:3600", 900, 9, 0xc2ec32a293541e48ULL, 0x7a9e8e2d451bbf06ULL},
       {edges, 8, 1, 0x0c9c2dd6e04d3a8fULL, 0xcfc5d07f6f03c29bULL},
   };
-  for (const Case& c : cases) {
-    rng::Xoshiro256pp gen(c.seed);
-    const AgentGraph g = make_topology(c.spec, c.n, gen);
-    const std::uint64_t next = gen();
-    ASSERT_FALSE(g.is_complete() || g.is_implicit()) << c.spec;
-    EXPECT_EQ(g.arena_bytes(),
-              (c.n + 1 + (g.num_arcs() + 1) / 2) * sizeof(std::uint64_t))
-        << c.spec << " n=" << c.n;
-    EXPECT_EQ(arena_digest(g), c.digest) << c.spec << " n=" << c.n << " seed=" << c.seed;
-    EXPECT_EQ(next, c.next_word) << c.spec << " n=" << c.n << " seed=" << c.seed;
-  }
+  expect_digests(cases);
+}
+
+TEST(Builders, ArenaDigestGoldenAtScale) {
+  // The randomized builders at the default benchmark's size (regular:8 at
+  // n = 10^6) and with 10^5+ edges, where the pairing's look-ahead and the
+  // edge filter's table run long: the graphs and the generator state left
+  // behind were recorded on the builders that had neither.
+  const DigestCase cases[] = {
+      {"regular:8", 1000000, 1, 0x64c523972aa83d85ULL, 0xfe280fd1d5d52815ULL},
+      {"regular:3", 200002, 2, 0xb36b10c4283c7ab7ULL, 0x26ded4d25a550296ULL},
+      {"gnm:200000", 50000, 3, 0x41fda10d3a582a8eULL, 0x7f91cb7680042df9ULL},
+      {"gnm:100000", 1000, 4, 0x6a594a6a003defffULL, 0x2a592456c2cae685ULL},
+      {"er:0.0002", 40000, 5, 0xf61f8c18fd545588ULL, 0x63135eb86d7b7383ULL},
+  };
+  expect_digests(cases);
 }
 
 TEST(Builders, RandomRegularIsSimpleAndSymmetricAtScale) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "stats/chi_square.hpp"
@@ -205,6 +207,61 @@ TEST(Shuffle, FirstPositionIsUniform) {
   std::vector<double> expected(kItems, 1.0 / kItems);
   const auto result = stats::chi_square_gof(counts, expected);
   EXPECT_GT(result.p_value, 1e-6);
+}
+
+/// Shuffles `count` distinct-pattern elements of type T and returns the
+/// FNV-1a digest of the result's bytes and the generator's next word.
+template <typename T, class Gen>
+std::pair<std::uint64_t, std::uint64_t> shuffle_golden(Gen gen, std::size_t count) {
+  std::vector<T> v(count);
+  for (std::size_t i = 0; i < count; ++i) v[i] = static_cast<T>(i * 0x9e3779b1ULL);
+  shuffle(gen, v.data(), count);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t b = 0; b < count * sizeof(T); ++b) {
+    h ^= bytes[b];
+    h *= 0x100000001b3ULL;
+  }
+  return {h, gen()};
+}
+
+TEST(Shuffle, GoldenPermutations) {
+  // Pins the exact permutation and the generator state shuffle leaves
+  // behind, for byte and u32 elements on both engines, at counts below,
+  // just past and far past its block of draws. Recorded on the plain
+  // one-draw-one-swap Fisher–Yates loop.
+  struct Case {
+    std::size_t count;
+    std::uint64_t xo_u8, xo_u32, xo_next, ph_u8, ph_u32, ph_next;
+  };
+  const Case cases[] = {
+      {10, 0x406c13599db165d0ULL, 0x8caaa7837f6293a4ULL, 0x40d1329955b041fbULL,
+       0x6f0accec32677016ULL, 0xdf52fca77c8d7f6cULL, 0x142c10d395dfc3daULL},
+      {65, 0xd3267748bd535343ULL, 0xfb34b611d8b3e900ULL, 0xff90f846a72df84fULL,
+       0x5555421048c03eb9ULL, 0x775c11f3b86eef60ULL, 0xa4df64222b78b9e8ULL},
+      {1000003, 0x8c0f4ec591d52f4cULL, 0xf1c5e821893021afULL, 0x4b6d6a4826b77096ULL,
+       0x958b6ef2a92a43b6ULL, 0xb032dc9905bc6833ULL, 0x2b48db4a5c777805ULL},
+      {1u << 20, 0xed8a8a9520532f29ULL, 0xb5d9beaf09551e94ULL, 0xd4c2f8f336ab3383ULL,
+       0xbe7cdb21ac71710bULL, 0x1478a6e514178f38ULL, 0xf28b67c216064dd9ULL},
+  };
+  for (const Case& c : cases) {
+    const Xoshiro256pp xo(21);
+    const PhiloxStream ph(21, 3);
+    const auto xo_u8 = shuffle_golden<std::uint8_t>(xo, c.count);
+    const auto xo_u32 = shuffle_golden<std::uint32_t>(xo, c.count);
+    const auto ph_u8 = shuffle_golden<std::uint8_t>(ph, c.count);
+    const auto ph_u32 = shuffle_golden<std::uint32_t>(ph, c.count);
+    EXPECT_EQ(xo_u8.first, c.xo_u8) << "xoshiro u8 count=" << c.count;
+    EXPECT_EQ(xo_u32.first, c.xo_u32) << "xoshiro u32 count=" << c.count;
+    EXPECT_EQ(ph_u8.first, c.ph_u8) << "philox u8 count=" << c.count;
+    EXPECT_EQ(ph_u32.first, c.ph_u32) << "philox u32 count=" << c.count;
+    for (const auto next : {xo_u8.second, xo_u32.second}) {
+      EXPECT_EQ(next, c.xo_next) << "xoshiro count=" << c.count;
+    }
+    for (const auto next : {ph_u8.second, ph_u32.second}) {
+      EXPECT_EQ(next, c.ph_next) << "philox count=" << c.count;
+    }
+  }
 }
 
 TEST(Shuffle, EmptyAndSingleAreNoOps) {
