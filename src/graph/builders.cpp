@@ -1,7 +1,7 @@
 #include "graph/builders.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -51,22 +51,66 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   // match order, which is exactly the row AgentGraph::from_edges would
   // build from the matched edge list. A partner row has at most d entries,
   // so scanning it is the duplicate-edge check.
+  //
+  // Every try is a dependent chain of random loads: two stubs, then both
+  // partner rows and fill counts. The addresses come from the generator
+  // before any of them is touched, so a look-ahead clone of `gen` (reset
+  // at every attempt) replays the next words: kAhead tries ahead it
+  // prefetches the two stub slots, and kAhead/2 tries ahead it reads them
+  // and prefetches the rows and counts. It predicts `live` as if every try
+  // in between matched, so a rejection only makes the next few prefetches
+  // miss; a Lemire retry (below live/2^64 per draw) shifts the clone by a
+  // word and leaves the rest of its attempt unprefetched. Indices are
+  // scaled by values <= live, so every real load stays in bounds, and
+  // `gen` is drawn exactly as without the clone.
+  constexpr std::size_t kAhead = 16;
   const std::size_t arcs = n * d;
   bool built = false;
   AgentGraph graph = AgentGraph::regular(n, d, [&](std::span<std::uint32_t> rows) {
     std::vector<std::uint32_t> stubs(arcs);
     std::vector<std::uint32_t> fill(n);
+    // The two stub slots a try would draw from a pair of raw words with
+    // `live` free stubs (uniform_below without its rejection step).
+    const auto predict = [](const std::uint64_t* w, std::size_t live) {
+      const auto scale = [](std::uint64_t x, std::size_t bound) {
+        return static_cast<std::size_t>((static_cast<__uint128_t>(x) * bound) >> 64);
+      };
+      const std::size_t i = scale(w[0], live);
+      const std::size_t j = scale(w[1], live - 1);
+      return std::pair{i, j + (j >= i)};
+    };
     for (int attempt = 0; attempt < 256 && !built; ++attempt) {
       std::uint32_t* stub = stubs.data();
       for (count_t v = 0; v < n; ++v) {
         stub = std::fill_n(stub, d, static_cast<std::uint32_t>(v));
       }
       std::fill(fill.begin(), fill.end(), 0);
+      // Try t's two raw words sit at ahead[2·(t mod kAhead)] until try t
+      // runs, which refills the pair with try t + kAhead's.
+      rng::Xoshiro256pp clone = gen;
+      std::uint64_t ahead[2 * kAhead] = {};
+      for (std::uint64_t& w : ahead) w = clone();
       std::size_t live = arcs;
+      std::size_t tried = 0;
       bool stuck = false;
       while (live > 0 && !stuck) {
         stuck = true;
         for (int tries = 0; tries < 200; ++tries) {
+          const std::size_t t = tried++;
+          if (live > 2 * kAhead) {
+            std::uint64_t* const next = ahead + 2 * (t % kAhead);
+            const auto [pi, pj] = predict(ahead + 2 * ((t + kAhead / 2) % kAhead), live - kAhead);
+            const std::uint32_t pu = stubs[pi], pv = stubs[pj];
+            __builtin_prefetch(rows.data() + pu * d, 1, 3);
+            __builtin_prefetch(rows.data() + pv * d, 1, 3);
+            __builtin_prefetch(fill.data() + pu, 1, 3);
+            __builtin_prefetch(fill.data() + pv, 1, 3);
+            next[0] = clone();
+            next[1] = clone();
+            const auto [qi, qj] = predict(next, live - 2 * kAhead);
+            __builtin_prefetch(stubs.data() + qi, 1, 3);
+            __builtin_prefetch(stubs.data() + qj, 1, 3);
+          }
           const std::size_t i = rng::uniform_below(gen, live);
           std::size_t j = rng::uniform_below(gen, live - 1);
           if (j >= i) ++j;
@@ -99,14 +143,20 @@ AgentGraph erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
   std::vector<AgentGraph::Edge> edges;
   edges.reserve(m);
   {  // the duplicate filter is freed before the arena is built
-    std::unordered_set<std::uint64_t> chosen;
-    chosen.reserve(m * 2);
+    // Open addressing with linear probing over the edge keys, at most half
+    // full. u != v makes every key >= 1, so 0 marks an empty slot.
+    const std::uint64_t capacity = std::bit_ceil(std::max<std::uint64_t>(2 * m, 2));
+    const int shift = 64 - std::countr_zero(capacity);
+    std::vector<std::uint64_t> chosen(capacity, 0);
     while (edges.size() < m) {
       const count_t u = rng::uniform_below(gen, n);
       const count_t v = rng::uniform_below(gen, n);
       if (u == v) continue;
       const std::uint64_t key = std::min(u, v) * n + std::max(u, v);
-      if (chosen.insert(key).second) {
+      std::uint64_t slot = (key * 0x9e3779b97f4a7c15ULL) >> shift;
+      while (chosen[slot] != 0 && chosen[slot] != key) slot = (slot + 1) & (capacity - 1);
+      if (chosen[slot] == 0) {
+        chosen[slot] = key;
         edges.emplace_back(static_cast<std::uint32_t>(u), static_cast<std::uint32_t>(v));
       }
     }

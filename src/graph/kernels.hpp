@@ -22,31 +22,11 @@
 
 #include "core/dynamics.hpp"
 #include "graph/implicit_topology.hpp"
+#include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "support/types.hpp"
 
 namespace plurality::graph::kernels {
-
-/// Inline clone of rng::uniform_below — Lemire's multiply-shift with
-/// rejection, bit-for-bit the published algorithm (same draws, same
-/// outputs; pinned against rng::uniform_below by test). Duplicated here so
-/// the per-sample draw inlines into the kernel loop instead of crossing a
-/// translation unit per sample; `bound` is a positive node/neighbor count
-/// by construction.
-inline std::uint64_t uniform_below(rng::Xoshiro256pp& gen, std::uint64_t bound) {
-  std::uint64_t x = gen();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) [[unlikely]] {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = gen();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
 
 // --- Samplers: where one node's h draws come from. ---------------------
 
@@ -64,7 +44,7 @@ struct CompleteSampler {
   const TNode* nodes;
   std::uint64_t n;
   const TNode* addr(rng::Xoshiro256pp& gen) const {
-    return nodes + uniform_below(gen, n);
+    return nodes + rng::uniform_below(gen, n);
   }
   state_t operator()(rng::Xoshiro256pp& gen) const { return *addr(gen); }
 };
@@ -77,14 +57,14 @@ struct CsrSampler {
   const std::uint32_t* neighbors;
   std::uint64_t degree;
   const TNode* addr(rng::Xoshiro256pp& gen) const {
-    return nodes + neighbors[uniform_below(gen, degree)];
+    return nodes + neighbors[rng::uniform_below(gen, degree)];
   }
   state_t operator()(rng::Xoshiro256pp& gen) const { return *addr(gen); }
 };
 
 /// Implicit neighborhood: the neighbor id is arithmetic on the node id
 /// (implicit_topology.hpp) instead of an arena load. Draws the SAME
-/// uniform_below(gen, degree) index the CSR sampler would and
+/// rng::uniform_below(gen, degree) index the CSR sampler would and
 /// ImplicitTopology::neighbor reproduces the arena twin's row order, so
 /// runs are bitwise-identical to the arena-backed graph.
 template <typename TNode>
@@ -93,7 +73,7 @@ struct ImplicitSampler {
   const ImplicitTopology* topo;
   std::uint64_t v;
   const TNode* addr(rng::Xoshiro256pp& gen) const {
-    return nodes + topo->neighbor(v, uniform_below(gen, topo->degree));
+    return nodes + topo->neighbor(v, rng::uniform_below(gen, topo->degree));
   }
   state_t operator()(rng::Xoshiro256pp& gen) const { return *addr(gen); }
 };
@@ -257,7 +237,7 @@ struct HPluralityRule {
     }
     unsigned ties = 0;
     for (unsigned i = 0; i < num_distinct; ++i) ties += (counts[i] == best);
-    std::uint64_t pick = ties == 1 ? 0 : uniform_below(gen, ties);
+    std::uint64_t pick = ties == 1 ? 0 : rng::uniform_below(gen, ties);
     for (unsigned i = 0; i < num_distinct; ++i) {
       if (counts[i] == best) {
         if (pick == 0) return distinct[i];

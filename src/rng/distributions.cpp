@@ -6,24 +6,9 @@
 
 namespace plurality::rng {
 
-template <class Gen>
-std::uint64_t uniform_below(Gen& gen, std::uint64_t bound) {
-  PLURALITY_REQUIRE(bound != 0, "uniform_below: bound must be positive");
-  // Lemire (2019): multiply a 64-bit word by the bound and keep the high
-  // half; reject the small biased fringe so every residue is exactly
-  // equally likely.
-  std::uint64_t x = gen();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = gen();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
+void detail::zero_bound() {
+  plurality::detail::check_failed("bound != 0", __FILE__, __LINE__,
+                                  "uniform_below: bound must be positive");
 }
 
 template <class Gen>
@@ -66,8 +51,6 @@ double standard_exponential(Gen& gen) {
 }
 
 // The two shipped engines (see distributions.hpp).
-template std::uint64_t uniform_below<Xoshiro256pp>(Xoshiro256pp&, std::uint64_t);
-template std::uint64_t uniform_below<PhiloxStream>(PhiloxStream&, std::uint64_t);
 template std::uint64_t uniform_in<Xoshiro256pp>(Xoshiro256pp&, std::uint64_t, std::uint64_t);
 template std::uint64_t uniform_in<PhiloxStream>(PhiloxStream&, std::uint64_t, std::uint64_t);
 template double uniform01<Xoshiro256pp>(Xoshiro256pp&);

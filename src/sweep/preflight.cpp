@@ -1,6 +1,7 @@
 #include "sweep/preflight.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -38,6 +39,13 @@ std::uint64_t sat_from_double(double v) {
   if (!(v > 0.0)) return 0;
   if (v >= 1.8e19) return kSatMax;  // below kSatMax, above any real estimate
   return static_cast<std::uint64_t>(v);
+}
+
+/// Slots of erdos_renyi's duplicate filter for m edges: bit_ceil(2m),
+/// saturated where that power of two does not fit in u64.
+std::uint64_t filter_slots(std::uint64_t m) {
+  if (m > (std::uint64_t{1} << 62)) return kSatMax;
+  return std::bit_ceil(std::max<std::uint64_t>(2 * m, 2));
 }
 
 /// Edge-count upper bound for the packed CSR, from the topology grammar
@@ -137,8 +145,7 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec, int
   // nothing; regular its stubs (one u32 per arc) and row fill counts (u32
   // per node); er/gnm/edges a u32 edge list (8 B per edge, doubled for
   // vector growth), and er/gnm also the duplicate filter before it
-  // (an unordered_set of u64: ~32 B per node allocation plus 16 B of
-  // buckets per edge).
+  // (one u64 table of bit_ceil(2m) slots: 16–32 B per edge).
   const std::uint64_t m = estimate_edges(spec.topology, n);
   const std::uint64_t arcs = sat_mul(2, m);
   const std::uint64_t csr = sat_add(sat_mul(sat_add(n, 2), 8), sat_mul(arcs, 4));
@@ -148,7 +155,7 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec, int
     builder = sat_add(sat_mul(arcs, 4), sat_mul(n, 4));
   } else if (kind == "er" || kind == "gnm" || kind == "edges") {
     builder = sat_mul(m, 16);
-    if (kind != "edges") builder = sat_add(builder, sat_mul(m, 48));
+    if (kind != "edges") builder = sat_add(builder, sat_mul(filter_slots(m), 8));
   }
   return sat_add(sat_add(kFixed, sat_add(csr, builder)), workspace);
 }

@@ -27,6 +27,7 @@
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
 #include "graph/step_batched.hpp"
+#include "graph/topology_registry.hpp"
 #include "obs/metrics_observer.hpp"
 #include "rng/philox.hpp"
 
@@ -367,6 +368,18 @@ TEST(GraphBuild, RandomRegularAllocationCountIsIndependentOfN) {
     return allocations_during([&] { (void)graph::random_regular(n, 8, gen); });
   };
   EXPECT_EQ(build_allocs(2000), build_allocs(20000));
+}
+
+TEST(GraphBuild, GnmAllocationCountIsIndependentOfM) {
+  // The edge-list builder's duplicate filter is one flat table, so ten
+  // times the edges costs the same number of allocations; a per-edge
+  // allocating container would break this. At n = 2000 both sizes leave
+  // no vertex isolated, so the isolated-vertex patch adds nothing.
+  const auto build_allocs = [](const char* spec) {
+    rng::Xoshiro256pp gen(12);
+    return allocations_during([&] { (void)graph::make_topology(spec, 2000, gen); });
+  };
+  EXPECT_EQ(build_allocs("gnm:20000"), build_allocs("gnm:200000"));
 }
 
 TEST(SanityCheck, CounterSeesVectorAllocations) {

@@ -19,10 +19,6 @@
 //    kernels_batched.hpp) — a batched kernel is a second, independent
 //    transcription of each rule, plus a rejection-free bounded-bias index
 //    conversion, so it gets the same exact-law pinning.
-//
-//  * The kernels' inlined uniform_below clone is pinned bit-for-bit
-//    (outputs AND generator states, rejection path included) against
-//    rng::uniform_below.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -171,27 +167,6 @@ TEST(GraphKernelBattery, CliquePathMatchesLaw) {
   ThreeMajority dyn;
   const AgentGraph graph = AgentGraph::complete(7);
   expect_node_matches_law(dyn, graph, battery_start(3), 0, 100'000);
-}
-
-// --- uniform_below clone pin. ---------------------------------------------
-
-TEST(GraphKernelBattery, UniformBelowCloneIsBitwiseIdentical) {
-  // Outputs AND post-call generator states must match rng::uniform_below
-  // draw for draw. The huge bound forces the rejection loop (threshold
-  // (2^64 mod bound) ≈ bound for bound just above 2^63), covering the
-  // multi-draw path too.
-  const std::uint64_t bounds[] = {1,  2,   3,   7,    8,          60,
-                                  64, 100, 255, 1024, 1000000007, (1ULL << 63) + 12345};
-  for (const std::uint64_t bound : bounds) {
-    rng::Xoshiro256pp gen_lib(987), gen_clone(987);
-    for (int draw = 0; draw < 2000; ++draw) {
-      const std::uint64_t expected = rng::uniform_below(gen_lib, bound);
-      const std::uint64_t actual = kernels::uniform_below(gen_clone, bound);
-      ASSERT_EQ(actual, expected) << "bound=" << bound << " draw=" << draw;
-      ASSERT_EQ(gen_clone.state(), gen_lib.state())
-          << "bound=" << bound << " draw=" << draw << ": streams diverged";
-    }
-  }
 }
 
 }  // namespace
