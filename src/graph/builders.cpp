@@ -57,12 +57,14 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   // before any of them is touched, so a look-ahead clone of `gen` (reset
   // at every attempt) replays the next words: kAhead tries ahead it
   // prefetches the two stub slots, and kAhead/2 tries ahead it reads them
-  // and prefetches the rows and counts. It predicts `live` as if every try
-  // in between matched, so a rejection only makes the next few prefetches
-  // miss; a Lemire retry (below live/2^64 per draw) shifts the clone by a
-  // word and leaves the rest of its attempt unprefetched. Indices are
-  // scaled by values <= live, so every real load stays in bounds, and
-  // `gen` is drawn exactly as without the clone.
+  // and prefetches the rows and counts. Rows start 8·(n+1) bytes into the
+  // arena, so a row of 8 ids (32 B) can straddle two cache lines: both its
+  // first and its last id are prefetched. It predicts `live` as if every
+  // try in between matched, so a rejection only makes the next few
+  // prefetches miss; a Lemire retry (below live/2^64 per draw) shifts the
+  // clone by a word and leaves the rest of its attempt unprefetched.
+  // Indices are scaled by values <= live, so every real load stays in
+  // bounds, and `gen` is drawn exactly as without the clone.
   constexpr std::size_t kAhead = 16;
   const std::size_t arcs = n * d;
   bool built = false;
@@ -102,7 +104,9 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
             const auto [pi, pj] = predict(ahead + 2 * ((t + kAhead / 2) % kAhead), live - kAhead);
             const std::uint32_t pu = stubs[pi], pv = stubs[pj];
             __builtin_prefetch(rows.data() + pu * d, 1, 3);
+            __builtin_prefetch(rows.data() + pu * d + d - 1, 1, 3);
             __builtin_prefetch(rows.data() + pv * d, 1, 3);
+            __builtin_prefetch(rows.data() + pv * d + d - 1, 1, 3);
             __builtin_prefetch(fill.data() + pu, 1, 3);
             __builtin_prefetch(fill.data() + pv, 1, 3);
             next[0] = clone();
