@@ -5,6 +5,7 @@
 // kInversionThreshold crossover (the design knob DESIGN.md calls out).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "rng/binomial.hpp"
@@ -82,6 +83,36 @@ void BM_Multinomial(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Multinomial)->Arg(2)->Arg(8)->Arg(64)->Arg(1024);
+
+void BM_BinomialChains(benchmark::State& state) {
+  // range(0) independent conditional-binomial chains, interleaved draw by
+  // draw, over a uniform 512-category law at n = 1e9 (a multinomial's
+  // draws: each draw's n is the previous remainder). One chain is bound
+  // by its own latency; interleaved chains overlap on the core. Read
+  // 1e9 / items_per_second as ns per draw.
+  const auto chains = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kCategories = 512;
+  std::vector<Xoshiro256pp> gens;
+  for (std::size_t c = 0; c < chains; ++c) gens.emplace_back(100 + c);
+  std::vector<double> cond(kCategories - 1);
+  for (std::size_t i = 0; i + 1 < kCategories; ++i) {
+    cond[i] = 1.0 / static_cast<double>(kCategories - i);
+  }
+  std::vector<count_t> remaining(chains);
+  std::int64_t draws = 0;
+  for (auto _ : state) {
+    std::fill(remaining.begin(), remaining.end(), count_t{1'000'000'000});
+    for (const double p : cond) {
+      for (std::size_t c = 0; c < chains; ++c) {
+        remaining[c] -= binomial(gens[c], remaining[c], p);
+      }
+    }
+    benchmark::DoNotOptimize(remaining.data());
+    draws += static_cast<std::int64_t>(chains * cond.size());
+  }
+  state.SetItemsProcessed(draws);
+}
+BENCHMARK(BM_BinomialChains)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_AliasSample(benchmark::State& state) {
   Xoshiro256pp gen(9);

@@ -213,7 +213,8 @@ int main(int argc, char** argv) {
   result.resolved = resolved;
   result.plan = compiled.plan();
   std::cout << "plan:      " << parallelism_name(result.plan->parallelism) << " on "
-            << result.plan->threads << " thread(s), simd " << result.plan->simd
+            << result.plan->threads << " thread(s), " << result.plan->lanes
+            << " lane(s) per thread, simd " << result.plan->simd
             << (result.plan->bytes_only ? ", byte node states" : "") << "\n";
   result.summary = compiled.run();
   result.wall_seconds = timer.seconds();

@@ -1,6 +1,7 @@
 #include "core/backend.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "rng/binomial.hpp"
 #include "rng/multinomial.hpp"
@@ -9,19 +10,29 @@
 namespace plurality {
 
 template <class Gen>
-void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen,
-                      StepWorkspace& ws) {
-  const state_t k = config.k();
-  PLURALITY_REQUIRE(dynamics.has_exact_law(k),
-                    "count-based step: dynamics '" << dynamics.name()
-                                                   << "' has no exact law at k=" << k);
-  ws.prepare(k);
-  config.counts_real_into(ws.counts_real);
-  std::fill(ws.next.begin(), ws.next.end(), count_t{0});
+void step_count_based(const Dynamics& dynamics, std::span<const CountLane<Gen>> lanes) {
+  PLURALITY_REQUIRE(!lanes.empty() && lanes.size() <= rng::kMaxLanes,
+                    "count-based step: takes 1 to " << rng::kMaxLanes << " lanes, got "
+                                                    << lanes.size());
+  for (const CountLane<Gen>& lane : lanes) {
+    const state_t k = lane.config->k();
+    PLURALITY_REQUIRE(dynamics.has_exact_law(k),
+                      "count-based step: dynamics '" << dynamics.name()
+                                                     << "' has no exact law at k=" << k);
+    lane.ws->prepare(k);
+    lane.config->counts_real_into(lane.ws->counts_real);
+    std::fill(lane.ws->next.begin(), lane.ws->next.end(), count_t{0});
+  }
 
+  std::array<rng::MultinomialLane<Gen>, rng::kMaxLanes> draws;
   if (!dynamics.law_depends_on_own_state()) {
-    dynamics.adoption_law(ws.counts_real, ws.law);
-    rng::multinomial_accumulate(gen, config.n(), ws.law, ws.next, ws.multinomial);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      StepWorkspace& ws = *lanes[l].ws;
+      dynamics.adoption_law(ws.counts_real, ws.law);
+      draws[l] = {lanes[l].gen, lanes[l].config->n(), ws.law, ws.next, &ws.multinomial};
+    }
+    rng::multinomial_accumulate(std::span<const rng::MultinomialLane<Gen>>(draws.data(),
+                                                                           lanes.size()));
   } else {
     // Nodes within one own-state class are i.i.d.; each class contributes
     // its own multinomial and the class draws are independent given the
@@ -31,25 +42,46 @@ void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen,
     // transitions cost nothing (and consume no randomness, keeping the
     // stream identical to the dense reference). Dynamics with a sparse law
     // skip materializing the dense k-entry law entirely, so a round costs
-    // O(k + total support) instead of Θ(k · occupied classes).
-    const std::span<const count_t> counts = config.counts();
+    // O(k + total support) instead of Θ(k · occupied classes). Each lane
+    // walks its own occupied classes in ascending order; one batch draws
+    // the next class of every lane that has one left.
     const bool sparse = dynamics.has_sparse_law();
-    const auto total = static_cast<double>(config.n());
-    for (state_t s = 0; s < k; ++s) {
-      const count_t class_size = counts[s];
-      if (class_size == 0) continue;
+    std::array<state_t, rng::kMaxLanes> next_class{};
+    for (;;) {
+      std::size_t batch = 0;
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        const Configuration& config = *lanes[l].config;
+        StepWorkspace& ws = *lanes[l].ws;
+        const state_t k = config.k();
+        const std::span<const count_t> counts = config.counts();
+        state_t s = next_class[l];
+        while (s < k && counts[s] == 0) ++s;
+        if (s == k) {
+          next_class[l] = k;
+          continue;
+        }
+        next_class[l] = s + 1;
+        if (sparse) {
+          const state_t nnz = dynamics.adoption_law_given_sparse(
+              s, ws.counts_real, static_cast<double>(config.n()), ws.sparse_states,
+              ws.sparse_weights);
+          PLURALITY_CHECK_MSG(nnz >= 1 && nnz <= k,
+                              "sparse law of '" << dynamics.name() << "' returned nnz=" << nnz);
+          draws[batch++] = {lanes[l].gen, counts[s],
+                            std::span<const double>(ws.sparse_weights.data(), nnz), ws.next,
+                            &ws.multinomial,
+                            std::span<const state_t>(ws.sparse_states.data(), nnz)};
+        } else {
+          dynamics.adoption_law_given(s, ws.counts_real, ws.law);
+          draws[batch++] = {lanes[l].gen, counts[s], ws.law, ws.next, &ws.multinomial};
+        }
+      }
+      if (batch == 0) break;
+      const std::span<const rng::MultinomialLane<Gen>> batch_lanes(draws.data(), batch);
       if (sparse) {
-        const state_t nnz = dynamics.adoption_law_given_sparse(
-            s, ws.counts_real, total, ws.sparse_states, ws.sparse_weights);
-        PLURALITY_CHECK_MSG(nnz >= 1 && nnz <= k,
-                            "sparse law of '" << dynamics.name() << "' returned nnz=" << nnz);
-        rng::multinomial_accumulate_indexed(
-            gen, class_size, std::span<const state_t>(ws.sparse_states.data(), nnz),
-            std::span<const double>(ws.sparse_weights.data(), nnz), ws.next,
-            ws.multinomial);
+        rng::multinomial_accumulate_indexed(batch_lanes);
       } else {
-        dynamics.adoption_law_given(s, ws.counts_real, ws.law);
-        rng::multinomial_accumulate(gen, class_size, ws.law, ws.next, ws.multinomial);
+        rng::multinomial_accumulate(batch_lanes);
       }
     }
   }
@@ -58,7 +90,14 @@ void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen,
   // capacities between the configuration and the workspace, so a workspace
   // shared across different k values would re-allocate every round. The
   // copy is k words into an already-sized buffer.
-  config.assign_counts(ws.next);
+  for (const CountLane<Gen>& lane : lanes) lane.config->assign_counts(lane.ws->next);
+}
+
+template <class Gen>
+void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen,
+                      StepWorkspace& ws) {
+  const CountLane<Gen> lane{&config, &gen, &ws};
+  step_count_based(dynamics, std::span<const CountLane<Gen>>(&lane, 1));
 }
 
 template <class Gen>
@@ -68,6 +107,10 @@ void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen)
 }
 
 // The two shipped engines (see backend.hpp).
+template void step_count_based<rng::Xoshiro256pp>(
+    const Dynamics&, std::span<const CountLane<rng::Xoshiro256pp>>);
+template void step_count_based<rng::PhiloxStream>(
+    const Dynamics&, std::span<const CountLane<rng::PhiloxStream>>);
 template void step_count_based<rng::Xoshiro256pp>(const Dynamics&, Configuration&,
                                                   rng::Xoshiro256pp&, StepWorkspace&);
 template void step_count_based<rng::PhiloxStream>(const Dynamics&, Configuration&,

@@ -23,6 +23,8 @@
 // dynamics whose exact law is unavailable (large h-plurality).
 #pragma once
 
+#include <span>
+
 #include "core/configuration.hpp"
 #include "core/dynamics.hpp"
 #include "core/step_workspace.hpp"
@@ -31,9 +33,27 @@
 
 namespace plurality {
 
-/// Advances one synchronous round in place using the exact adoption law.
-/// Requires dynamics.has_exact_law(config.k()). Zero heap allocations once
-/// `ws` is warm at this k.
+/// One trial's share of a lockstep round: its configuration, the generator
+/// its protocol step draws from, and its own scratch.
+template <class Gen>
+struct CountLane {
+  Configuration* config;
+  Gen* gen;
+  StepWorkspace* ws;
+};
+
+/// Advances each lane (1 to rng::kMaxLanes, independent trials of one
+/// dynamics) by one synchronous round in place using the exact adoption
+/// law. The lanes' multinomials are drawn as one lockstep batch
+/// (rng/multinomial.hpp), and for own-state dynamics each lane's j-th
+/// occupied class is batched with the other's j-th, so every lane consumes
+/// exactly the stream it would consume stepped alone. Requires
+/// dynamics.has_exact_law(k) for every lane's k. Zero heap allocations once
+/// each lane's workspace is warm at its k.
+template <class Gen>
+void step_count_based(const Dynamics& dynamics, std::span<const CountLane<Gen>> lanes);
+
+/// Advances one synchronous round in place: the one-lane batch above.
 ///
 /// Template over the generator engine (instantiated in backend.cpp):
 /// Xoshiro256pp is the sequential default every existing stream runs on;

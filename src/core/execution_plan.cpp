@@ -30,6 +30,8 @@ ExecutionPlan plan_execution(std::uint64_t trials, TrialDriver driver, std::uint
   const bool team_to_spare = 2 * trials <= static_cast<std::uint64_t>(threads);
   plan.parallelism =
       parallel_rounds && team_to_spare ? Parallelism::Rounds : Parallelism::Trials;
+  const bool two_per_thread = trials >= 2 * static_cast<std::uint64_t>(threads);
+  plan.lanes = driver == TrialDriver::Count && two_per_thread ? 2 : 1;
   return plan;
 }
 

@@ -19,6 +19,13 @@
 // kRoundsMinNodes nodes, and never on the count driver, whose Θ(k) rounds
 // have no parallel loop to hand the team to. docs/performance.md
 // ("Execution plan") has the measurements behind the rule.
+//
+// The count driver also keeps two trials in flight per thread (`lanes`),
+// stepping them in lockstep so their dependent binomial chains overlap on
+// the core — once there are enough trials to give every thread two
+// (trials >= 2 · threads); with fewer, one lane per thread keeps every
+// thread busy. Lanes cannot change a result either: each trial keeps its
+// own generator and draws in its own order.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +51,9 @@ struct ExecutionPlan {
   Parallelism parallelism = Parallelism::Trials;
   /// The thread budget the plan was made for.
   int threads = 1;
+  /// Trials each thread keeps in flight and steps in lockstep: 2 on the
+  /// count driver when trials >= 2 · threads, else 1 (always 1 on graph).
+  int lanes = 1;
   /// Graph driver only: node states stored one byte each, ~2n bytes for
   /// the double buffer (k <= 256, graph::byte_states). Always false on the
   /// other drivers.
@@ -67,7 +77,8 @@ inline constexpr std::uint64_t kRoundsMinNodes = std::uint64_t{1} << 16;
 
 /// The planner: Rounds when `2 * trials <= threads`, the driver's rounds
 /// have a parallel loop and a round covers at least kRoundsMinNodes
-/// `nodes`; Trials otherwise. Fills parallelism and threads.
+/// `nodes`; Trials otherwise. Lanes as documented on ExecutionPlan::lanes.
+/// Fills parallelism, threads and lanes.
 [[nodiscard]] ExecutionPlan plan_execution(std::uint64_t trials, TrialDriver driver,
                                            std::uint64_t nodes, int threads);
 

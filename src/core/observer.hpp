@@ -19,8 +19,11 @@
 //    concurrent; implementations must write disjoint per-trial slots (the
 //    same discipline as TrialOutcomes::record). Calls for one trial come
 //    from one thread, in order: begin_trial, observe_round (round 1, 2,
-//    ...), end_trial. Cross-trial reductions belong in a sequential
-//    finalize() after the driver returns.
+//    ...), end_trial. A thread may interleave the calls of up to
+//    rng::kMaxLanes trials (the count driver steps two in lockstep), so
+//    per-thread state must be keyed by trial, not held for "the" trial.
+//    Cross-trial reductions belong in a sequential finalize() after the
+//    driver returns.
 #pragma once
 
 #include <cstdint>

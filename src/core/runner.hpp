@@ -4,13 +4,16 @@
 // after each protocol step (Section 3.1's  Random -> Adversary  round
 // split). Per-round trajectories, such as the one the phase-structure
 // analysis (E8) needs, are recorded by a TrajectoryObserver
-// (core/observer.hpp). Per-agent runs — sparse topologies,
+// (core/observer.hpp). A run is a CountTrial, a resumable state that
+// run_dynamics steps alone and run_trials steps two at a time in lockstep;
+// the stop checks live there once. Per-agent runs — sparse topologies,
 // and the clique when the dynamics has no exact law — go through
 // graph::run_graph_trials.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/adversary.hpp"
@@ -18,6 +21,7 @@
 #include "core/configuration.hpp"
 #include "core/dynamics.hpp"
 #include "core/engine_mode.hpp"
+#include "rng/philox.hpp"
 #include "rng/xoshiro.hpp"
 #include "support/cancellation.hpp"
 #include "support/types.hpp"
@@ -91,12 +95,62 @@ struct RunOptions {
   const CancellationToken* cancel = nullptr;
 };
 
+/// One run of run_dynamics as a resumable state, so a driver can keep
+/// several runs in flight and step them in lockstep (step_trials). The stop
+/// sequence lives here and nowhere else: the constructor calls begin_trial
+/// and runs the round-0 checks; each round then checks the cancel token,
+/// steps the protocol, applies the adversary, calls observe_round, and
+/// checks consensus, monochromatic absorption, the stop predicate and the
+/// round limit, in that order; end_trial comes with the stop.
+class CountTrial {
+ public:
+  /// Borrows `dynamics`, `options`, `gen` and `ws` for the run's lifetime.
+  /// The run may be done at once (round-0 stop).
+  CountTrial(const Dynamics& dynamics, Configuration start, const RunOptions& options,
+             rng::Xoshiro256pp& gen, StepWorkspace& ws);
+
+  [[nodiscard]] bool done() const { return done_; }
+
+  /// The finished run (call once, when done()).
+  [[nodiscard]] RunResult take_result();
+
+ private:
+  friend void step_trials(std::span<CountTrial* const> trials);
+
+  /// The cancel check before a round; false once the run is stopped.
+  bool begin_round();
+  /// Everything after the protocol step, through the stop checks.
+  void end_round();
+  void finish(round_t rounds, StopReason reason);
+
+  const Dynamics& dynamics_;
+  const RunOptions& options_;
+  rng::Xoshiro256pp& gen_;
+  StepWorkspace& ws_;
+  /// Keyed off one draw of `gen_` in the Batched engine (see
+  /// RunOptions::engine); empty in Strict.
+  std::optional<rng::PhiloxStream> philox_;
+  state_t num_colors_;
+  round_t round_ = 0;
+  bool done_ = false;
+  RunResult result_;
+  Configuration config_;
+};
+
+/// Advances every run in `trials` (1 to rng::kMaxLanes runs, none done, of
+/// one dynamics and engine) by one round, drawing their protocol steps as
+/// one lockstep batch (step_count_based over lanes). A run stopped by its
+/// cancel token takes no step.
+void step_trials(std::span<CountTrial* const> trials);
+
 /// Runs `dynamics` from `start` (already in the dynamics' state space —
 /// use UndecidedState::extend_with_undecided for protocols with auxiliary
-/// states). Requires dynamics.has_exact_law(start.k()). Advances `gen` as its randomness source. `ws` is the stepping
-/// scratch; callers running many runs (run_trials) pass one workspace per
-/// thread so steady-state rounds allocate nothing. Workspace sharing never
-/// affects results (it is pure scratch — see step_workspace.hpp).
+/// states). Requires dynamics.has_exact_law(start.k()). Advances `gen` as
+/// its randomness source. `ws` is the stepping scratch; callers running
+/// many runs (run_trials) pass one workspace per trial in flight so
+/// steady-state rounds allocate nothing. Workspace sharing never affects
+/// results (it is pure scratch — see step_workspace.hpp). This is the
+/// one-lane use of CountTrial and step_trials.
 RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                        const RunOptions& options, rng::Xoshiro256pp& gen,
                        StepWorkspace& ws);

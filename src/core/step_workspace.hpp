@@ -5,7 +5,7 @@
 // arrays. Allocating them per round makes the stepper allocator-bound at
 // paper scale (n up to 10^9, thousands of trials), so the workspace owns
 // them all and is reused across rounds AND across trials — run_trials keeps
-// one per OpenMP thread.
+// one per lane (one or two per OpenMP thread).
 //
 // The workspace is pure scratch: every buffer is fully (re)written by the
 // step that uses it, so reuse never leaks state between rounds, trials, or

@@ -1,5 +1,10 @@
 #include "core/trials.hpp"
 
+#include <array>
+#include <atomic>
+#include <optional>
+#include <span>
+
 #include "core/observer.hpp"
 #include "support/check.hpp"
 
@@ -96,6 +101,20 @@ Parallelism resolve_parallelism(const CommonTrialOptions& options, TrialDriver d
   return plan_execution(options.trials, driver, nodes, execution_thread_budget()).parallelism;
 }
 
+namespace {
+
+/// One trial slot of a thread: the trial's generator, scratch and options
+/// copy (carrying the trial index to the observer), reused by every trial
+/// the slot runs.
+struct Lane {
+  rng::Xoshiro256pp gen{0};
+  StepWorkspace ws;
+  RunOptions run;
+  std::optional<CountTrial> trial;
+};
+
+}  // namespace
+
 TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
                         const CommonTrialOptions& options) {
   PLURALITY_REQUIRE(options.trials > 0, "run_trials: need at least one trial");
@@ -110,44 +129,71 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
   const rng::StreamFactory streams(options.seed);
   TrialOutcomes outcomes(options.trials, options.exact_round_samples);
 
-  // One StepWorkspace per executing thread, reused across every round of
-  // every trial that thread runs. The workspace is pure scratch, so which
-  // thread runs which trial (schedule(dynamic)) cannot affect results —
-  // each trial's randomness comes only from its own hash-derived stream.
-  const auto body = [&](std::uint64_t trial, StepWorkspace& ws) {
-    rng::Xoshiro256pp gen = streams.stream(trial);
-    const Configuration start = factory(trial, gen);
-    RunResult result;
-    if (options.observer != nullptr) {
-      // Per-trial copy carries the trial index to the observer callbacks
-      // (one options copy per TRIAL, never per round; the shared object
-      // cannot hold a mutating index under parallel trials).
-      RunOptions run = run_options;
-      run.observer_trial = trial;
-      result = run_dynamics(dynamics, start, run, gen, ws);
-    } else {
-      result = run_dynamics(dynamics, start, run_options, gen, ws);
+  // The count driver's plan does not depend on n (its rounds have no
+  // parallel loop), so no start needs building to make it.
+  const ExecutionPlan plan =
+      plan_execution(options.trials, TrialDriver::Count, 0, execution_thread_budget());
+  const Parallelism parallelism = options.parallelism.value_or(plan.parallelism);
+  const auto lanes = static_cast<std::size_t>(plan.lanes);
+  PLURALITY_CHECK_MSG(lanes >= 1 && lanes <= rng::kMaxLanes, "run_trials: lanes " << lanes);
+
+  // Threads take trials from one counter, and each of a thread's lanes
+  // takes the next trial as soon as its own ends. Lanes are pure scratch
+  // plus a trial's own hash-derived stream, so which thread or lane runs
+  // which trial, and beside which other trial, cannot affect results.
+  std::atomic<std::uint64_t> next_trial{0};
+  const auto run_thread = [&] {
+    std::array<Lane, rng::kMaxLanes> slots;
+    const auto record = [&](Lane& lane) {
+      const RunResult result = lane.trial->take_result();
+      outcomes.record(lane.run.observer_trial, result.reason, result.plurality_won,
+                      result.rounds);
+    };
+    // Starts the next unclaimed trial in `lane`, recording (and replacing)
+    // trials that stop at round 0; leaves the lane empty once none remain.
+    const auto refill = [&](Lane& lane) {
+      for (;;) {
+        lane.trial.reset();
+        const std::uint64_t trial = next_trial.fetch_add(1, std::memory_order_relaxed);
+        if (trial >= options.trials) return;
+        lane.gen = streams.stream(trial);
+        lane.run.observer_trial = trial;
+        lane.trial.emplace(dynamics, factory(trial, lane.gen), lane.run, lane.gen, lane.ws);
+        if (!lane.trial->done()) return;
+        record(lane);
+      }
+    };
+    for (std::size_t l = 0; l < lanes; ++l) {
+      slots[l].run = run_options;
+      refill(slots[l]);
     }
-    outcomes.record(trial, result.reason, result.plurality_won, result.rounds);
+    std::array<CountTrial*, rng::kMaxLanes> live;
+    for (;;) {
+      std::size_t count = 0;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        if (slots[l].trial) live[count++] = &*slots[l].trial;
+      }
+      if (count == 0) return;
+      step_trials(std::span<CountTrial* const>(live.data(), count));
+      for (std::size_t l = 0; l < lanes; ++l) {
+        Lane& lane = slots[l];
+        if (!lane.trial || !lane.trial->done()) continue;
+        record(lane);
+        refill(lane);
+      }
+    }
   };
 
 #if defined(PLURALITY_HAVE_OPENMP)
-  // The count driver's plan does not depend on n (its rounds have no
-  // parallel loop), so no start needs building to make it.
-  if (resolve_parallelism(options, TrialDriver::Count, 0) == Parallelism::Trials) {
+  if (parallelism == Parallelism::Trials) {
 #pragma omp parallel
-    {
-      StepWorkspace ws;
-#pragma omp for schedule(dynamic)
-      for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
-    }
+    run_thread();
   } else {
-    StepWorkspace ws;
-    for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
+    run_thread();
   }
 #else
-  StepWorkspace ws;
-  for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
+  (void)parallelism;
+  run_thread();
 #endif
 
   // Unwinding is only safe here, outside the OpenMP region. Any token that

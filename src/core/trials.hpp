@@ -1,7 +1,8 @@
 // Multi-trial experiment driver: R independent runs of a dynamics, each
 // trial on its own hash-derived RNG stream so results are identical no
 // matter how many threads execute them or how the execution planner
-// (core/execution_plan.hpp) spreads them over the OpenMP team.
+// (core/execution_plan.hpp) spreads them over the OpenMP team — or which
+// trial a count-driver thread steps in lockstep beside which.
 #pragma once
 
 #include <functional>
@@ -132,6 +133,10 @@ class TrialOutcomes {
 /// Runs `options.trials` independent runs from factory-generated starts —
 /// the count-path trial driver (clique model; for sparse topologies see
 /// graph::run_graph_trials, which consumes the same CommonTrialOptions).
+/// Threads claim trials from a shared counter; each keeps the plan's
+/// `lanes` trials in flight (CountTrial) and steps them in lockstep
+/// (step_trials), starting the next trial in a lane as soon as its own
+/// ends. Every trial's outcome is what run_dynamics gives it alone.
 TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
                         const CommonTrialOptions& options);
 

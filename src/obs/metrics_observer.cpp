@@ -1,5 +1,7 @@
 #include "obs/metrics_observer.hpp"
 
+#include <array>
+
 #include "obs/trace.hpp"
 
 namespace plurality::obs {
@@ -31,10 +33,26 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry, RoundObserver* inner
     : m_(registry), inner_(inner) {}
 
 namespace {
-/// Trial-span start time. Observer calls for one trial come from one
-/// thread, in order, and each thread runs one trial at a time, so a
-/// thread_local pairs begin_trial with its end_trial without allocating.
-thread_local double t_trial_start_us = -1.0;
+/// Trial-span start times. Observer calls for one trial come from one
+/// thread, in order, and a thread has at most rng::kMaxLanes trials in
+/// flight (core/observer.hpp), so a fixed thread_local table keyed by trial
+/// pairs begin_trial with its end_trial without allocating.
+struct TrialStart {
+  std::uint64_t trial = 0;
+  double us = -1.0;  ///< -1: the entry is free
+};
+thread_local std::array<TrialStart, rng::kMaxLanes> t_trial_starts;
+
+/// The entry of `trial`, else a free one, else the first (a caller
+/// breaking the lane bound loses a span, never memory).
+TrialStart& trial_start_entry(std::uint64_t trial) {
+  TrialStart* free_entry = nullptr;
+  for (TrialStart& entry : t_trial_starts) {
+    if (entry.us >= 0.0 && entry.trial == trial) return entry;
+    if (entry.us < 0.0 && free_entry == nullptr) free_entry = &entry;
+  }
+  return free_entry != nullptr ? *free_entry : t_trial_starts[0];
+}
 }  // namespace
 
 void MetricsObserver::begin_trial(std::uint64_t trial, const Configuration& start,
@@ -42,7 +60,9 @@ void MetricsObserver::begin_trial(std::uint64_t trial, const Configuration& star
   m_.trials_started_total.add(1);
   m_.current_trial.set(static_cast<double>(trial));
   if (TraceRecorder::global().enabled()) {
-    t_trial_start_us = TraceRecorder::now_us();
+    TrialStart& entry = trial_start_entry(trial);
+    entry.trial = trial;
+    entry.us = TraceRecorder::now_us();
   }
   if (inner_ != nullptr) inner_->begin_trial(trial, start, num_colors);
 }
@@ -68,11 +88,14 @@ void MetricsObserver::end_trial(std::uint64_t trial, StopReason reason, round_t 
                                 const Configuration& final, state_t num_colors) {
   m_.trials_finished_total.add(1);
   m_.trial_rounds.observe(static_cast<double>(rounds));
-  if (TraceRecorder::global().enabled() && t_trial_start_us >= 0.0) {
-    TraceRecorder::global().record("trial", "engine", t_trial_start_us,
-                                   TraceRecorder::now_us() - t_trial_start_us,
-                                   "trial " + std::to_string(trial));
-    t_trial_start_us = -1.0;
+  if (TraceRecorder::global().enabled()) {
+    TrialStart& entry = trial_start_entry(trial);
+    if (entry.us >= 0.0 && entry.trial == trial) {
+      TraceRecorder::global().record("trial", "engine", entry.us,
+                                     TraceRecorder::now_us() - entry.us,
+                                     "trial " + std::to_string(trial));
+      entry.us = -1.0;
+    }
   }
   if (inner_ != nullptr) inner_->end_trial(trial, reason, rounds, final, num_colors);
 }

@@ -35,6 +35,7 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   void enable() { enabled_.store(true, std::memory_order_relaxed); }
+  void disable() { enabled_.store(false, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Microseconds on the steady clock (the trace's shared timebase).

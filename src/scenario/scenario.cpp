@@ -156,6 +156,7 @@ io::JsonValue scenario_result_to_json(const ScenarioResult& result) {
     io::JsonValue& plan = doc.set("plan", io::JsonValue::object());
     plan.set("parallelism", parallelism_name(result.plan->parallelism));
     plan.set("threads", result.plan->threads);
+    plan.set("lanes", result.plan->lanes);
     plan.set("bytes_only", result.plan->bytes_only);
     plan.set("simd", result.plan->simd);
   }

@@ -105,7 +105,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, RoundObserver* observer = 
 /// The result as an ordered JSON document (schema_version 1): the resolved
 /// spec echo, the summary counters/rates, round statistics (mean/min/max
 /// and p50/p95 where any trial stopped), the execution plan when recorded
-/// ("plan": parallelism, threads, bytes_only, simd), and timing. Written
+/// ("plan": parallelism, threads, lanes, bytes_only, simd), and timing. Written
 /// via the existing src/io writer.
 io::JsonValue scenario_result_to_json(const ScenarioResult& result);
 

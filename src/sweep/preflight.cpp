@@ -113,7 +113,7 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec, int
   constexpr std::uint64_t kFixed = 1ull << 20;  // code, spec, summaries
 
   if (backend == "count") {
-    // Θ(k) counters per engine state; trials reuse one workspace.
+    // Θ(k) counters per trial in flight (up to two per thread): kilobytes.
     return kFixed + 64 * k * 8;
   }
 

@@ -103,6 +103,62 @@ TEST(ZeroAllocation, CountBasedDenseStatefulSteps) {
   EXPECT_EQ(allocs, 0u);
 }
 
+TEST(ZeroAllocation, TwoLaneCountRounds) {
+  // The count driver's lockstep rounds: two trials, each with its own
+  // generator and workspace, drawn as one batch — shared-law, sparse
+  // stateful and dense stateful dynamics, on both engines.
+  std::vector<count_t> counts(300, 0);
+  counts[0] = 50000;
+  counts[150] = 30000;
+  counts[299] = 20000;
+  const Configuration sparse =
+      UndecidedState::extend_with_undecided(Configuration(std::move(counts)));
+  const Configuration dense({4000, 3000, 2000, 1000});
+  const auto expect_warm_lockstep_free = [](const Dynamics& dyn, const Configuration& start_a,
+                                            const Configuration& start_b, auto gen_a,
+                                            auto gen_b) {
+    using Gen = decltype(gen_a);
+    Configuration a = start_a, b = start_b;
+    StepWorkspace ws_a, ws_b;
+    const CountLane<Gen> lanes[] = {{&a, &gen_a, &ws_a}, {&b, &gen_b, &ws_b}};
+    step_count_based(dyn, std::span<const CountLane<Gen>>(lanes));  // warm-up
+    const std::uint64_t allocs = allocations_during([&] {
+      for (int r = 0; r < 200; ++r) step_count_based(dyn, std::span<const CountLane<Gen>>(lanes));
+    });
+    EXPECT_EQ(allocs, 0u) << dyn.name();
+  };
+  ThreeMajority majority;
+  UndecidedState undecided;
+  MedianOwnTwo median;
+  const Configuration wide = workloads::additive_bias(1000000, 64, 5000);
+  expect_warm_lockstep_free(majority, wide, dense, rng::Xoshiro256pp(41), rng::Xoshiro256pp(42));
+  expect_warm_lockstep_free(majority, wide, dense, rng::PhiloxStream(41), rng::PhiloxStream(42));
+  expect_warm_lockstep_free(undecided, sparse, UndecidedState::extend_with_undecided(dense),
+                            rng::Xoshiro256pp(43), rng::Xoshiro256pp(44));
+  expect_warm_lockstep_free(undecided, sparse, UndecidedState::extend_with_undecided(dense),
+                            rng::PhiloxStream(43), rng::PhiloxStream(44));
+  expect_warm_lockstep_free(median, dense, dense, rng::Xoshiro256pp(45), rng::Xoshiro256pp(46));
+}
+
+TEST(ZeroAllocation, TwoLaneTrialRounds) {
+  // The same rounds through the driver's per-trial state (step_trials):
+  // the stop checks and the batch add nothing to the heap either.
+  ThreeMajority dyn;
+  const Configuration start = workloads::additive_bias(1000000000, 64, 20000);
+  RunOptions options;
+  rng::Xoshiro256pp gen_a(51), gen_b(52);
+  StepWorkspace ws_a, ws_b;
+  CountTrial a(dyn, start, options, gen_a, ws_a);
+  CountTrial b(dyn, start, options, gen_b, ws_b);
+  CountTrial* const lanes[] = {&a, &b};
+  step_trials(lanes);  // warm-up
+  const std::uint64_t allocs = allocations_during([&] {
+    for (int r = 0; r < 30; ++r) step_trials(lanes);
+  });
+  ASSERT_FALSE(a.done() || b.done()) << "a trial stopped inside the measured rounds";
+  EXPECT_EQ(allocs, 0u);
+}
+
 TEST(ZeroAllocation, WorkspaceWarmsOnceAcrossConfigurations) {
   // Growing k re-sizes the workspace once; staying at or below the
   // high-water mark never allocates again.

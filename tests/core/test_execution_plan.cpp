@@ -35,6 +35,7 @@ struct PlanRow {
   TrialDriver driver;
   std::uint64_t nodes;
   Parallelism expected;
+  int lanes;
 };
 
 TEST(ExecutionPlan, DecisionTable) {
@@ -42,36 +43,49 @@ TEST(ExecutionPlan, DecisionTable) {
   constexpr std::uint64_t kSmall = 3000;
   const std::vector<PlanRow> table = {
       // At least two threads per trial: the rounds get the team.
-      {1, 4, TrialDriver::Graph, kLarge, Parallelism::Rounds},
-      {2, 4, TrialDriver::Graph, kLarge, Parallelism::Rounds},
-      {1, 4, TrialDriver::Graph, kRoundsMinNodes, Parallelism::Rounds},
-      {1, 2, TrialDriver::Graph, kLarge, Parallelism::Rounds},
-      {4, 8, TrialDriver::Graph, kLarge, Parallelism::Rounds},
+      {1, 4, TrialDriver::Graph, kLarge, Parallelism::Rounds, 1},
+      {2, 4, TrialDriver::Graph, kLarge, Parallelism::Rounds, 1},
+      {1, 4, TrialDriver::Graph, kRoundsMinNodes, Parallelism::Rounds, 1},
+      {1, 2, TrialDriver::Graph, kLarge, Parallelism::Rounds, 1},
+      {4, 8, TrialDriver::Graph, kLarge, Parallelism::Rounds, 1},
       // Trials occupying more than half the team keep it: a round scales
       // worse than independent trials (trials = 3 lost on both measured
       // cells at 4 threads).
-      {3, 4, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {5, 8, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {4, 4, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {8, 4, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {2048, 4, TrialDriver::Count, kLarge, Parallelism::Trials},
+      {3, 4, TrialDriver::Graph, kLarge, Parallelism::Trials, 1},
+      {5, 8, TrialDriver::Graph, kLarge, Parallelism::Trials, 1},
+      {4, 4, TrialDriver::Graph, kLarge, Parallelism::Trials, 1},
+      {8, 4, TrialDriver::Graph, kLarge, Parallelism::Trials, 1},
+      {2048, 4, TrialDriver::Count, kLarge, Parallelism::Trials, 2},
       // A count round has no parallel loop to hand the team to.
-      {1, 4, TrialDriver::Count, kLarge, Parallelism::Trials},
-      {3, 4, TrialDriver::Count, kLarge, Parallelism::Trials},
+      {1, 4, TrialDriver::Count, kLarge, Parallelism::Trials, 1},
+      {3, 4, TrialDriver::Count, kLarge, Parallelism::Trials, 1},
       // A round too small to pay for its fork/join keeps the trial team.
-      {1, 4, TrialDriver::Graph, kSmall, Parallelism::Trials},
-      {1, 4, TrialDriver::Graph, kRoundsMinNodes - 1, Parallelism::Trials},
-      {2, 4, TrialDriver::Graph, kSmall, Parallelism::Trials},
+      {1, 4, TrialDriver::Graph, kSmall, Parallelism::Trials, 1},
+      {1, 4, TrialDriver::Graph, kRoundsMinNodes - 1, Parallelism::Trials, 1},
+      {2, 4, TrialDriver::Graph, kSmall, Parallelism::Trials, 1},
       // A budget of one (e.g. inside a sweep's cells team): nothing to split.
-      {1, 1, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {8, 1, TrialDriver::Graph, kLarge, Parallelism::Trials},
-      {1, 1, TrialDriver::Count, kLarge, Parallelism::Trials},
+      {1, 1, TrialDriver::Graph, kLarge, Parallelism::Trials, 1},
+      {8, 1, TrialDriver::Graph, kLarge, Parallelism::Trials, 1},
+      {1, 1, TrialDriver::Count, kLarge, Parallelism::Trials, 1},
+      // Lanes: the count driver steps two trials per thread in lockstep
+      // once every thread can have two (trials >= 2 * threads); with fewer
+      // trials one lane keeps every thread busy. Graph trials never pair.
+      {8, 4, TrialDriver::Count, 0, Parallelism::Trials, 2},
+      {7, 4, TrialDriver::Count, 0, Parallelism::Trials, 1},
+      {4, 4, TrialDriver::Count, 0, Parallelism::Trials, 1},
+      {2, 1, TrialDriver::Count, 0, Parallelism::Trials, 2},
+      {6, 3, TrialDriver::Count, 0, Parallelism::Trials, 2},
+      {2048, 4, TrialDriver::Graph, kSmall, Parallelism::Trials, 1},
+      {2, 1, TrialDriver::Graph, kSmall, Parallelism::Trials, 1},
   };
   for (const PlanRow& row : table) {
     const ExecutionPlan plan = plan_execution(row.trials, row.driver, row.nodes, row.threads);
     EXPECT_EQ(plan.parallelism, row.expected)
         << "trials=" << row.trials << " threads=" << row.threads
         << " driver=" << static_cast<int>(row.driver) << " nodes=" << row.nodes;
+    EXPECT_EQ(plan.lanes, row.lanes)
+        << "trials=" << row.trials << " threads=" << row.threads
+        << " driver=" << static_cast<int>(row.driver);
     EXPECT_EQ(plan.threads, row.threads);
   }
 }

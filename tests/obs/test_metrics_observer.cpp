@@ -6,13 +6,16 @@
 //      products are unchanged;
 //  (3) the metric values themselves are exact: rounds_total equals the
 //      summed per-trial rounds, node_updates_total equals rounds × n, the
-//      trial lifecycle counters equal the trial count.
+//      trial lifecycle counters equal the trial count;
+//  (4) two trials interleaved on one thread (the count driver's lanes)
+//      each get a trace span from their own begin to their own end.
 #include "obs/metrics_observer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "core/majority.hpp"
 #include "core/trials.hpp"
@@ -20,6 +23,7 @@
 #include "graph/graph_trials.hpp"
 #include "graph/topology_registry.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace plurality::obs {
 namespace {
@@ -193,6 +197,75 @@ TEST(MetricsObserver, SharedRegistryAcrossParallelTrialsStaysExact) {
   EXPECT_EQ(p.trials_finished_total.value(), 12u);
   EXPECT_EQ(p.trial_rounds.count(), 12u);
   EXPECT_EQ(p.trial_rounds.sum(), s.trial_rounds.sum());
+}
+
+/// Start and end of a recorded trace span.
+struct Span {
+  double begin = -1.0;
+  double end = -1.0;
+};
+
+/// The "trial" span the global recorder holds for `trial` (exactly one).
+Span trial_span(std::uint64_t trial) {
+  const io::JsonValue doc = TraceRecorder::global().to_json();
+  const io::JsonValue& events = doc.at("traceEvents");
+  const std::string detail = "trial " + std::to_string(trial);
+  Span found;
+  int matches = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const io::JsonValue& e = events.item(i);
+    if (e.at("name").as_string() == "trial" && e.get("args") != nullptr &&
+        e.at("args").at("detail").as_string() == detail) {
+      found.begin = e.at("ts").as_double();
+      found.end = found.begin + e.at("dur").as_double();
+      ++matches;
+    }
+  }
+  EXPECT_EQ(matches, 1) << detail;
+  return found;
+}
+
+TEST(MetricsObserver, InterleavedTrialsOnOneThreadGetTheirOwnSpans) {
+  // The count driver's two lanes interleave two trials on one thread:
+  // A begins, B begins, A ends, B ends. Each trial's span must run from
+  // its own begin_trial to its own end_trial.
+  constexpr std::uint64_t kA = 7'000'001;
+  constexpr std::uint64_t kB = 7'000'002;
+  MetricsRegistry registry;
+  MetricsObserver observer(registry);
+  const Configuration config({30, 20});
+  // Separates consecutive calls by a clock-visible gap.
+  const auto gap = [] {
+    const double t = TraceRecorder::now_us();
+    while (TraceRecorder::now_us() < t + 5.0) {
+    }
+  };
+  TraceRecorder::global().enable();
+  const double a_begin = TraceRecorder::now_us();
+  observer.begin_trial(kA, config, 2);
+  gap();
+  const double b_begin = TraceRecorder::now_us();
+  observer.begin_trial(kB, config, 2);
+  gap();
+  const double a_end = TraceRecorder::now_us();
+  observer.end_trial(kA, StopReason::ColorConsensus, 3, config, 2);
+  gap();
+  const double b_end = TraceRecorder::now_us();
+  observer.end_trial(kB, StopReason::ColorConsensus, 4, config, 2);
+  const double done = TraceRecorder::now_us();
+  TraceRecorder::global().disable();
+
+  const auto check = [](const Span& span, double begin_lo, double begin_hi, double end_lo,
+                        double end_hi) {
+    EXPECT_GE(span.begin, begin_lo);
+    EXPECT_LE(span.begin, begin_hi);
+    EXPECT_GE(span.end, end_lo - 0.01);
+    EXPECT_LE(span.end, end_hi + 0.01);
+  };
+  const Span a = trial_span(kA);
+  const Span b = trial_span(kB);
+  check(a, a_begin, b_begin, a_end, b_end);
+  check(b, b_begin, a_end, b_end, done);
 }
 
 }  // namespace

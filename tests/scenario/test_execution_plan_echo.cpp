@@ -43,6 +43,7 @@ TEST(ExecutionPlanEcho, SingleLargeTrialGivesTheRoundsTheTeam) {
   const io::JsonValue& echoed = doc.at("plan");
   EXPECT_EQ(echoed.at("parallelism").as_string(), "rounds");
   EXPECT_EQ(echoed.at("threads").as_uint(), 4u);
+  EXPECT_EQ(echoed.at("lanes").as_uint(), 1u);  // graph trials never pair
   EXPECT_TRUE(echoed.at("bytes_only").as_bool());
   EXPECT_EQ(echoed.at("simd").as_string(), plan.simd);
 }
@@ -61,10 +62,34 @@ TEST(ExecutionPlanEcho, ManyTrialsAndCountRunsKeepTheTrialTeam) {
   EXPECT_EQ(count.plan().parallelism, Parallelism::Trials);
   EXPECT_EQ(count.plan().simd, "scalar");
 
+  EXPECT_EQ(count.plan().lanes, 1);  // one trial: one lane
+
   // The strict graph engine takes no runtime-dispatched SIMD kernel.
   const Scenario strict = Scenario::compile(ScenarioSpec::parse(
       "dynamics=3-majority topology=gossip workload=bias:2c n=131072 k=8 trials=1"));
   EXPECT_EQ(strict.plan().simd, "scalar");
+}
+
+TEST(ExecutionPlanEcho, CountRunsEchoTheirLanes) {
+  // Two lanes per thread once every thread of the budget gets two trials.
+  const std::string count_spec =
+      "dynamics=3-majority topology=clique workload=bias:2c n=1e6 k=8 max_rounds=3 trials=";
+  const auto lanes_echoed = [&](int threads, int trials) {
+    ThreadCountGuard guard(threads);
+    const io::JsonValue doc = scenario_result_to_json(
+        run_scenario(ScenarioSpec::parse(count_spec + std::to_string(trials))));
+    return doc.at("plan").at("lanes").as_uint();
+  };
+  EXPECT_EQ(lanes_echoed(4, 8), 2u);
+  EXPECT_EQ(lanes_echoed(4, 7), 1u);
+  EXPECT_EQ(lanes_echoed(1, 2), 2u);
+  EXPECT_EQ(lanes_echoed(1, 1), 1u);
+  // Graph runs echo one lane at any trial count.
+  ThreadCountGuard guard(1);
+  const io::JsonValue graph = scenario_result_to_json(run_scenario(ScenarioSpec::parse(
+      "dynamics=3-majority topology=gossip workload=bias:2c n=1000 k=8 max_rounds=3 "
+      "trials=8")));
+  EXPECT_EQ(graph.at("plan").at("lanes").as_uint(), 1u);
 }
 
 TEST(ExecutionPlanEcho, InsideATeamTheBudgetIsOneThread) {

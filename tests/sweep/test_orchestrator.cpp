@@ -258,11 +258,16 @@ TEST(Orchestrator, CellFilesEchoTheExecutionPlan) {
       EXPECT_FALSE(plan.at("simd").as_string().empty());
       ASSERT_TRUE(cell.plan.has_value());
       EXPECT_EQ(parallelism, parallelism_name(cell.plan->parallelism));
+      EXPECT_EQ(plan.at("lanes").as_uint(), static_cast<std::uint64_t>(cell.plan->lanes));
 #if defined(PLURALITY_HAVE_OPENMP)
       if (parallel_cells && omp_get_max_threads() > 1) {
         // The budget that replaced the old forced-serial cell flag.
         EXPECT_EQ(plan.at("threads").as_uint(), 1u) << cell.id;
         EXPECT_EQ(parallelism, "trials") << cell.id;
+        // A one-thread budget pairs a count cell's three trials.
+        EXPECT_EQ(plan.at("lanes").as_uint(),
+                  cell.requested.resolved_backend() == "count" ? 2u : 1u)
+            << cell.id;
       }
 #endif
     }
