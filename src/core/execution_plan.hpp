@@ -43,8 +43,9 @@ enum class Parallelism : std::uint8_t { Trials, Rounds };
 /// parallel loop at all: the graph round does, the count round does not.
 enum class TrialDriver : std::uint8_t { Count, Graph };
 
-/// What the planner resolved, plus the memory mode and kernel path the
-/// graph layer resolves for the same run. Results echo all of it (the
+/// What the planner resolved, plus the state width and kernel path the
+/// scenario resolver (scenario/resolve.hpp) adds for a graph-driver run.
+/// Results echo all of it (the
 /// scenario result's and the sweep cell's "plan" block), so a result says
 /// how it ran; none of it changes what it computed.
 struct ExecutionPlan {

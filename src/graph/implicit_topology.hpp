@@ -12,7 +12,9 @@
 // with byte-wide states that is ~2 GB instead of a ~16 GB arena plus
 // 10 GB of workspace. The price is speed: computing ids per draw ran
 // rounds 2-6.5x slower than the arena at n = 10^6 - 4*10^6
-// (docs/performance.md, "The implicit engine").
+// (docs/performance.md, "The implicit engine"), so the scenario layer's
+// topology_backend=auto takes the arena whenever it fits the memory budget
+// (scenario/resolve.hpp).
 //
 // THE NEIGHBOR ORDER IS A BITWISE CONTRACT, and this file is its only
 // definition: the arena form of ring, torus and lattice
@@ -31,12 +33,6 @@
 #include "support/types.hpp"
 
 namespace plurality::graph {
-
-/// Auto-resolution threshold of the scenario layer's topology_backend:
-/// implicit-capable topologies at n >= this compile to the implicit path
-/// (no arena); below it the arena build is cheap and keeps the fused SIMD
-/// regular-CSR kernels in play.
-inline constexpr count_t kImplicitAutoThreshold = count_t{1} << 22;
 
 struct ImplicitTopology {
   enum class Family : std::uint8_t {

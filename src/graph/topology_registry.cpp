@@ -26,8 +26,9 @@ void require_arena_ids(const std::string& spec, count_t n) {
                     "topology '" << spec << "': node ids are 32-bit in the CSR "
                     "arena, so n is capped at 4294967295 (got " << n << "); for "
                     "larger populations use an implicit topology — 'ring', "
-                    "'torus', 'lattice:<d>' (with topology_backend=implicit or "
-                    "auto) have no id cap");
+                    "'torus', 'lattice:<d>' have no id cap with "
+                    "topology_backend=implicit, which auto picks whenever n "
+                    "passes the cap or the arena does not fit the memory budget");
 }
 
 std::uint64_t parse_uint_field(const std::string& text, const std::string& spec,

@@ -5,9 +5,9 @@
 #include "core/undecided.hpp"
 #include "core/workloads.hpp"
 #include "graph/graph_trials.hpp"
-#include "graph/step_batched.hpp"
 #include "graph/topology_registry.hpp"
 #include "rng/stream.hpp"
+#include "scenario/resolve.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
 
@@ -20,11 +20,11 @@ const graph::AgentGraph& Scenario::graph() const {
 }
 
 Scenario Scenario::compile(const ScenarioSpec& spec) {
-  const std::string backend = spec.resolved_backend();  // validates first
+  Resolution resolved = resolve(spec, execution_thread_budget());  // validates first
 
   Scenario compiled;
-  compiled.spec_ = spec;
-  compiled.spec_.backend = backend;
+  compiled.spec_ = std::move(resolved.spec);
+  compiled.plan_ = std::move(resolved.plan);
 
   compiled.dynamics_ = make_dynamics(spec.dynamics);
   compiled.adversary_ = make_adversary(spec.adversary);
@@ -38,16 +38,12 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   }
   compiled.start_ = std::move(start);
 
-  compiled.use_graph_ = backend == "graph";
+  compiled.use_graph_ = compiled.spec_.backend == "graph";
   if (compiled.use_graph_) {
-    // topology_backend "auto" resolves here (echoed into the resolved spec
-    // like `backend` above). Implicit builds are deterministic and
-    // arena-free; arena builds draw their randomness from a dedicated
-    // stream family so the SAME seed reproduces the same random graph
-    // without touching trial streams.
-    const std::string topo_backend = spec.resolved_topology_backend();
-    compiled.spec_.topology_backend = topo_backend;
-    if (topo_backend == "implicit") {
+    // Implicit builds are deterministic and arena-free; arena builds draw
+    // their randomness from a dedicated stream family so the SAME seed
+    // reproduces the same random graph without touching trial streams.
+    if (compiled.spec_.topology_backend == "implicit") {
       compiled.graph_ = graph::make_topology_implicit(spec.topology, spec.n);
     } else {
       rng::Xoshiro256pp topo_gen =
@@ -79,19 +75,6 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   }
 
   return compiled;
-}
-
-ExecutionPlan Scenario::plan() const {
-  const TrialDriver driver = use_graph_ ? TrialDriver::Graph : TrialDriver::Count;
-  ExecutionPlan plan =
-      plan_execution(options_.trials, driver, start_.n(), execution_thread_budget());
-  if (use_graph_) {
-    plan.bytes_only = graph::byte_states(start_.k());
-    if (options_.mode != EngineMode::Strict && graph::batched_has_kernel(*dynamics_)) {
-      plan.simd = graph::batched_simd_isa();
-    }
-  }
-  return plan;
 }
 
 TrialSummary Scenario::run(RoundObserver* observer,

@@ -29,11 +29,13 @@ inline constexpr std::uint64_t kTopologyStreamTag = 0x746f706f;  // "topo"
 
 class Scenario {
  public:
-  /// Validates `spec` and builds every runtime object. Throws CheckError
-  /// with the validation layer's actionable messages.
+  /// Validates `spec`, resolves its `auto` fields and plan once
+  /// (scenario/resolve.hpp, under the current thread budget and the
+  /// default memory budget), and builds every runtime object. Throws
+  /// CheckError with the validation layer's actionable messages.
   static Scenario compile(const ScenarioSpec& spec);
 
-  /// The input spec with "auto" fields resolved (what ran, echoed into
+  /// The input spec with "auto" fields resolved (what runs, echoed into
   /// results so a result file is self-describing).
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
 
@@ -51,12 +53,13 @@ class Scenario {
   /// pointer already wired).
   [[nodiscard]] const CommonTrialOptions& options() const { return options_; }
 
-  /// How run() executes when called from here: the execution planner's
-  /// parallelism for this scenario's trial count and driver under the
-  /// current thread budget (execution_thread_budget() — 1 inside a sweep's
-  /// cells-in-parallel team), plus the graph driver's resolved memory mode
-  /// and SIMD path. What run_scenario echoes into the result.
-  [[nodiscard]] ExecutionPlan plan() const;
+  /// The plan compile() resolved (scenario/resolve.hpp) for the thread
+  /// budget at compile time (execution_thread_budget() — 1 inside a
+  /// sweep's cells-in-parallel team): the planner's parallelism and lanes
+  /// for this scenario's trial count and driver, plus the graph driver's
+  /// state width and SIMD path. run() under the same budget runs this
+  /// plan; run_scenario echoes it into the result.
+  [[nodiscard]] const ExecutionPlan& plan() const { return plan_; }
 
   /// Runs the scenario's trials and reduces them to the shared summary.
   /// `observer` (optional) is threaded into the trial driver's per-round
@@ -74,6 +77,7 @@ class Scenario {
   Scenario() = default;
 
   ScenarioSpec spec_;
+  ExecutionPlan plan_;
   std::unique_ptr<Dynamics> dynamics_;
   Configuration start_;
   std::unique_ptr<Adversary> adversary_;
@@ -88,7 +92,7 @@ struct ScenarioResult {
   ScenarioSpec resolved;
   TrialSummary summary;
   double wall_seconds = 0.0;
-  /// How the trials ran (Scenario::plan() at run time). nullopt = not
+  /// How the trials ran (Scenario::plan()). nullopt = not
   /// recorded: sweep cells written under zero_wall_times leave it out, as
   /// they zero the wall time, so their bytes do not depend on the thread
   /// budget of whoever computed them.

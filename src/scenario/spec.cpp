@@ -9,7 +9,6 @@
 #include "core/adversary.hpp"
 #include "core/registry.hpp"
 #include "core/workloads.hpp"
-#include "graph/implicit_topology.hpp"
 #include "graph/topology_registry.hpp"
 #include "support/check.hpp"
 #include "support/specs.hpp"
@@ -101,17 +100,6 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
                           << "backend, engine, stop, topology_backend, "
                           << "n, k, trials, seed, max_rounds, shuffle_layout");
   }
-}
-
-/// The topology backend "auto" denotes (shared by validate() and
-/// Scenario::compile() so both always agree on what gets built).
-std::string resolve_topology_backend_impl(const ScenarioSpec& spec) {
-  if (spec.topology_backend != "auto") return spec.topology_backend;
-  if (!graph::topology_is_implicit_capable(spec.topology)) return "arena";
-  const std::string kind = split_spec(spec.topology).kind;
-  // Clique/gossip store nothing either way; report them as implicit.
-  if (kind == "clique" || kind == "gossip") return "implicit";
-  return spec.n >= graph::kImplicitAutoThreshold ? "implicit" : "arena";
 }
 
 }  // namespace
@@ -216,11 +204,6 @@ std::string ScenarioSpec::resolved_backend() const {
   const auto dyn = make_dynamics(dynamics);
   const bool exact = dyn->has_exact_law(dyn->num_states(k));
   return graph::topology_is_clique(topology) && exact ? "count" : "graph";
-}
-
-std::string ScenarioSpec::resolved_topology_backend() const {
-  validate();
-  return resolve_topology_backend_impl(*this);
 }
 
 void ScenarioSpec::validate() const {

@@ -58,11 +58,12 @@ struct ScenarioSpec {
   /// Predicates work on every backend.
   std::string stop = "consensus";
   /// How the graph backend materializes the topology:
-  ///   "auto"      implicit whenever the topology has an implicit form and
-  ///               it pays off — always for clique/gossip (arena-free by
-  ///               construction), for ring/torus/lattice:<d> once
-  ///               n >= 2^22 (graph::kImplicitAutoThreshold); arena below
-  ///               that (cheap, and keeps the fused SIMD CSR kernels).
+  ///   "auto"      decided by the resolver (scenario/resolve.hpp): implicit
+  ///               for clique/gossip (arena-free by construction), arena
+  ///               for the random and edge-list families (no implicit
+  ///               form); ring/torus/lattice:<d> take the arena when n fits
+  ///               its u32 ids and the run's arena bill fits the memory
+  ///               budget (it steps faster), implicit otherwise.
   ///   "arena"     force the CSR arena build (caps n at 2^32 - 1 node ids;
   ///               rejects clique/gossip, which have no arena form)
   ///   "implicit"  force arithmetic neighborhoods (clique, gossip, ring,
@@ -117,14 +118,10 @@ struct ScenarioSpec {
   void validate() const;
 
   /// The backend "auto" resolves to under this spec's topology and
-  /// dynamics (identity for explicit backends). validate()s first.
+  /// dynamics (identity for explicit backends) — the one definition of the
+  /// backend rule, which resolve() (scenario/resolve.hpp) applies.
+  /// validate()s first.
   [[nodiscard]] std::string resolved_backend() const;
-
-  /// The topology backend ("arena" or "implicit") this spec's graph would
-  /// be built with (identity for explicit values, auto rule above
-  /// otherwise). validate()s first. Meaningful only when the trial backend
-  /// resolves to "graph".
-  [[nodiscard]] std::string resolved_topology_backend() const;
 };
 
 /// A parsed `stop` field (shared by validate() and Scenario::compile()).

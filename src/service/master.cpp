@@ -17,6 +17,7 @@
 #include "io/checkpoint.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/resolve.hpp"
 #include "service/result_cache.hpp"
 #include "support/check.hpp"
 #include "sweep/cell_runner.hpp"
@@ -196,7 +197,7 @@ void Master::prepare_out_dir() {
 void Master::reconcile_from_disk() {
   const std::uint64_t budget = opt_.memory_budget_bytes > 0
                                    ? opt_.memory_budget_bytes
-                                   : sweep::default_memory_budget_bytes();
+                                   : scenario::default_memory_budget_bytes();
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     CellOutcome& cell = cells_[i];
     if (opt_.resume &&
@@ -219,7 +220,7 @@ void Master::reconcile_from_disk() {
       log("%s satisfied from result cache", cell.id.c_str());
       continue;
     }
-    const std::uint64_t estimate = sweep::estimate_cell_memory_bytes(cell.requested);
+    const std::uint64_t estimate = sweep::preflight_cell(cell, budget);
     if (estimate > budget) {
       mark_terminal(i, CellStatus::FailedSpec,
                     "preflight: estimated peak memory " + sweep::format_bytes(estimate) +
@@ -346,7 +347,7 @@ io::JsonValue Master::lease_reply(std::size_t conn_key, const std::string& worke
   const double now = now_s();
   const std::uint64_t budget = opt_.memory_budget_bytes > 0
                                    ? opt_.memory_budget_bytes
-                                   : sweep::default_memory_budget_bytes();
+                                   : scenario::default_memory_budget_bytes();
   // Preflight share: the budget is a HOST property, divided across the
   // workers that will run cells concurrently on it — i.e. peers that hold
   // or request leases, NOT every open connection (an idle monitor like

@@ -159,8 +159,9 @@ LeaseEnd Worker::run_lease(const io::JsonValue& lease, sweep::FaultInjector& inj
 
   // Preflight against the PER-WORKER share the master computed (total
   // budget / connected workers): N workers run cells concurrently on one
-  // host, so each may only claim its slice.
-  const std::uint64_t estimate = sweep::estimate_cell_memory_bytes(cell.requested);
+  // host, so each may only claim its slice. The cell runs the spec
+  // resolved under that share.
+  const std::uint64_t estimate = sweep::preflight_cell(cell, memory_share);
   if (estimate > memory_share) {
     io::JsonValue msg = make_message("complete");
     msg.set("worker", opt_.name);

@@ -242,7 +242,8 @@ CellScan scan_cell_file(const fs::path& path, const fs::path& quarantine_dir,
       return CellScan::SpecMismatch;
     }
     cell.metrics = metrics_from_json(doc);
-    cell.resolved_backend = resolved_backend;
+    cell.resolved = cell.requested;
+    cell.resolved.backend = resolved_backend;
     if (const io::JsonValue* retry = doc.get("retry")) {
       cell.attempts = static_cast<std::uint32_t>(retry->at("attempts").as_uint());
       cell.retry_tag = retry->at("stream_tag").as_string();
@@ -276,6 +277,12 @@ void run_cell_to_verdict(CellOutcome& cell, const CellRunContext& ctx) {
   const bool files = !ctx.cells_dir.empty();
   const fs::path quarantine_dir = ctx.cells_dir / "quarantine";
   const std::string spec_string = cell.requested.to_spec_string();
+  scenario::ScenarioSpec unresolved = cell.resolved;
+  unresolved.backend = cell.requested.backend;
+  unresolved.topology_backend = cell.requested.topology_backend;
+  PLURALITY_REQUIRE(unresolved.to_spec_string() == spec_string,
+                    "sweep: cell " << cell.id << " has no resolved spec; run preflight_cell "
+                                      "before run_cell_to_verdict");
   const fs::path cell_path = files ? ctx.cells_dir / (cell.id + ".json") : fs::path();
   const fs::path ledger = files ? ledger_path(ctx.cells_dir, cell.id) : fs::path();
   const bool probes_on = ctx.observe.m_plurality || ctx.observe.trajectory > 0;
@@ -355,9 +362,8 @@ void run_cell_to_verdict(CellOutcome& cell, const CellRunContext& ctx) {
         observer = metrics_observer.get();
       }
       const scenario::ScenarioResult result =
-          scenario::run_scenario(cell.requested, observer, token);
+          scenario::run_scenario(cell.resolved, observer, token);
       if (probe != nullptr) probe->finalize();
-      cell.resolved_backend = result.resolved.backend;
       cell.summary = result.summary;
       if (!ctx.zero_wall_times) cell.plan = result.plan;
       cell.metrics = metrics_from_run(result.summary,

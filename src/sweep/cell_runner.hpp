@@ -75,7 +75,7 @@ enum class CellScan {
 };
 
 /// CRC-verifies `path` and, when its payload's requested-spec string matches
-/// `cell.requested`, fills cell.metrics / resolved_backend / retry audit
+/// `cell.requested`, fills cell.metrics / resolved / retry audit
 /// fields. Quarantines corrupt files (with a stderr note). Throws
 /// CheckpointSchemaError on version skew — schema drift is a hard refusal,
 /// never a silent recompute. This is the ONLY way a master or resume pass
@@ -124,7 +124,8 @@ struct CellRunContext {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Runs `cell` until it leaves Pending (or, in single_attempt mode, for
+/// Runs `cell.resolved` (set by preflight_cell, sweep/preflight.hpp)
+/// until the cell leaves Pending (or, in single_attempt mode, for
 /// exactly one attempt). On return cell.status is Done, Interrupted, or a
 /// failed_* verdict; cell.attempts / retry_tag / error / metrics are
 /// filled. Never throws for per-cell runtime failures — those ARE the

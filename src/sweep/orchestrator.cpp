@@ -9,6 +9,7 @@
 #include "io/checkpoint.hpp"
 #include "io/csv.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/resolve.hpp"
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
@@ -62,8 +63,7 @@ bool cell_status_failed(CellStatus status) {
 
 io::JsonValue cell_result_to_json(const CellOutcome& outcome) {
   scenario::ScenarioResult result;
-  result.resolved = outcome.requested;
-  result.resolved.backend = outcome.resolved_backend;
+  result.resolved = outcome.resolved;
   result.summary = outcome.summary;
   result.wall_seconds = outcome.metrics.wall_seconds;
   result.plan = outcome.plan;
@@ -133,7 +133,7 @@ std::vector<std::string> aggregate_row(const SweepSpec& spec, const CellOutcome&
       s.workload,
       s.topology,
       s.adversary,
-      outcome.resolved_backend,
+      outcome.resolved.backend,
       s.engine,
       s.stop,
       std::to_string(s.n),
@@ -301,7 +301,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   // --- memory preflight ---------------------------------------------------
   const std::uint64_t budget = options.memory_budget_bytes > 0
                                    ? options.memory_budget_bytes
-                                   : default_memory_budget_bytes();
+                                   : scenario::default_memory_budget_bytes();
 #if defined(PLURALITY_HAVE_OPENMP)
   const bool parallel_cells = options.cells_in_parallel;
   const std::uint64_t threads =
@@ -315,7 +315,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   std::vector<std::size_t> serial_batch;
   for (const std::size_t i : pending) {
     CellOutcome& cell = out.cells[i];
-    const std::uint64_t estimate = estimate_cell_memory_bytes(cell.requested);
+    const std::uint64_t estimate = preflight_cell(cell, budget);
     if (estimate > budget) {
       cell.status = CellStatus::FailedSpec;
       cell.error = "preflight: estimated peak memory " + format_bytes(estimate) +

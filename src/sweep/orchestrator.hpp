@@ -107,10 +107,14 @@ struct CellMetrics {
 struct CellOutcome {
   std::size_t index = 0;
   std::string id;
-  /// The expanded cell spec as requested (backend may still be "auto").
+  /// The expanded cell spec as requested (backend may still be "auto") —
+  /// the resume and result-cache key.
   scenario::ScenarioSpec requested;
-  /// Backend the cell actually ran on (echoed from the result).
-  std::string resolved_backend;
+  /// The spec the cell runs: `requested` with backend and (graph cells)
+  /// topology_backend resolved once at preflight (preflight_cell), under
+  /// the memory budget the cell was admitted with. Resumed cells carry the
+  /// backend their file echoes.
+  scenario::ScenarioSpec resolved;
   CellStatus status = CellStatus::Pending;
   /// True when --resume accepted an existing result file instead of
   /// recomputing the cell (== status Resumed).

@@ -1,48 +1,40 @@
-// Arena-size preflight for sweep cells.
+// Memory preflight for sweep cells.
 //
 // A sweep grid can hold one cell whose topology allocates two orders of
 // magnitude more than its neighbours (er:0.01 at n=1e6 is a ~10^10-entry
 // CSR). Discovering that by OOM-kill mid-sweep loses every in-flight cell
 // and — on Linux default overcommit — can take the whole machine with it.
-// The orchestrator therefore estimates each cell's peak allocation from
-// its RESOLVED spec before running anything:
+// So the orchestrator and the sweep service resolve each cell once, before
+// running anything, under the memory budget they admit it with
+// (scenario/resolve.hpp), and bill what that resolution runs:
 //
-//   estimate > budget            the cell is refused up front (failed_spec;
-//                                it would be refused by the allocator
-//                                anyway, just less politely)
-//   estimate > budget / threads  the cell is forced onto the serial phase
-//                                (cells_in_parallel would multiply peaks)
+//   bill > budget            the cell is refused up front (failed_spec;
+//                            it would be refused by the allocator anyway,
+//                            just less politely)
+//   bill > budget / threads  the orchestrator runs the cell in its serial
+//                            phase (cells_in_parallel would multiply peaks)
 //
-// Estimates are deliberately coarse upper bounds (±2x is fine); they only
-// have to rank "fits comfortably / fits alone / cannot fit".
+// The cell then runs the resolved spec, topology_backend explicit, so it
+// builds what it was billed for; its requested spec stays the cache and
+// resume key. Bills are deliberately coarse upper bounds (±2x is fine);
+// they only have to rank "fits comfortably / fits alone / cannot fit".
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "core/execution_plan.hpp"
-#include "scenario/spec.hpp"
+#include "sweep/orchestrator.hpp"
 
 namespace plurality::sweep {
 
-/// Upper-bound estimate of one cell's peak heap use in bytes, derived from
-/// the resolved backend, n, k, and — for arena-backed graph cells — the
-/// topology's edge count and its builder's transient. Graph cells bill one
-/// step workspace per trial in flight under the plan plan_execution picks
-/// for `threads` (a `trials` plan runs min(trials, threads) at once).
-/// Cells whose topology resolves to the implicit backend are billed for
-/// the state arrays only (no CSR arena; the whole point of gossip/implicit
-/// cells at n = 1e9). All arithmetic saturates instead of wrapping, so a
-/// clique at n = 7e9 estimates "cannot fit" rather than wrapping u64 into
-/// "fits". Never throws on a well-formed spec; an unparseable topology
-/// argument returns a clique-sized worst case (validation will reject the
-/// cell anyway).
-[[nodiscard]] std::uint64_t estimate_cell_memory_bytes(
-    const scenario::ScenarioSpec& spec, int threads = execution_thread_budget());
-
-/// The default sweep memory budget: ~80% of physical RAM, or 2 GiB when
-/// the platform won't say. SweepOptions::memory_budget_bytes overrides.
-[[nodiscard]] std::uint64_t default_memory_budget_bytes();
+/// Resolves `cell.requested` under the caller's thread budget
+/// (execution_thread_budget()) and `budget`, stores the spec the cell will
+/// run in cell.resolved, and returns its bill
+/// (scenario::estimate_cell_memory_bytes). A spec that no longer validates
+/// (an edge-list file removed since the grid was expanded) is stored
+/// unresolved and billed 0, so its attempt records the failed_spec verdict
+/// like any other spec error.
+[[nodiscard]] std::uint64_t preflight_cell(CellOutcome& cell, std::uint64_t budget);
 
 /// Human-readable "1.5 GiB" style rendering for refusal messages.
 [[nodiscard]] std::string format_bytes(std::uint64_t bytes);

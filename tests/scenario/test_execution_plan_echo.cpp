@@ -93,8 +93,8 @@ TEST(ExecutionPlanEcho, CountRunsEchoTheirLanes) {
 }
 
 TEST(ExecutionPlanEcho, InsideATeamTheBudgetIsOneThread) {
+  // compile() resolves the plan under the thread budget where it runs.
   ThreadCountGuard guard(4);
-  const Scenario compiled = Scenario::compile(ScenarioSpec::parse(kSingleGossip));
   ExecutionPlan in_team;
   bool active = false;
 #pragma omp parallel num_threads(2)
@@ -102,7 +102,7 @@ TEST(ExecutionPlanEcho, InsideATeamTheBudgetIsOneThread) {
 #pragma omp single
     {
       active = omp_in_parallel() != 0;
-      in_team = compiled.plan();
+      in_team = Scenario::compile(ScenarioSpec::parse(kSingleGossip)).plan();
     }
   }
   if (!active) GTEST_SKIP() << "the runtime gave the team one thread";

@@ -5,12 +5,13 @@
 // packer or silently truncated ids. Now the boundary is validated with an
 // actionable error at the registry/spec layer, and the implicit families
 // are the documented escape hatch. These tests pin: field round-trips
-// (string + JSON), the auto-resolution rule around kImplicitAutoThreshold,
-// the arena/implicit validation errors, the u32 boundary itself, and
+// (string + JSON), the resolver's auto rule (scenario/resolve.hpp: the
+// arena while n fits u32 ids and its bill fits the memory budget), the
+// arena/implicit validation errors, the u32 boundary itself, and
 // compile() echoing the resolved choice.
 #include <gtest/gtest.h>
 
-#include "graph/implicit_topology.hpp"
+#include "scenario/resolve.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 #include "support/check.hpp"
@@ -29,28 +30,51 @@ TEST(TopologyBackend, RoundTripsThroughStringAndJson) {
   EXPECT_EQ(ScenarioSpec::parse(def.to_spec_string()).topology_backend, "auto");
 }
 
-TEST(TopologyBackend, AutoResolvesByThresholdAndFamily) {
-  const count_t at = graph::kImplicitAutoThreshold;
-  // Structured families: arena below the threshold, implicit at/above.
-  EXPECT_EQ(ScenarioSpec::parse("topology=ring n=4096").resolved_topology_backend(),
+/// The topology backend `text` resolves to for a 4-thread run under
+/// `budget` bytes of memory (0 = the default budget).
+std::string topology_backend_of(const std::string& text, std::uint64_t budget = 0) {
+  return resolve(ScenarioSpec::parse(text), 4, budget).spec.topology_backend;
+}
+
+TEST(TopologyBackend, AutoTakesTheArenaWhileItFitsTheMemoryBudget) {
+  // The lattice that ran ~6x slower on the implicit path: its ~240 MB
+  // arena fits the default budget.
+  EXPECT_EQ(topology_backend_of("dynamics=3-majority topology=lattice:8 n=5e6 k=8 trials=4 "
+                                "max_rounds=50 engine=batched"),
             "arena");
-  ScenarioSpec ring = ScenarioSpec::parse("topology=ring");
-  ring.n = at;
-  EXPECT_EQ(ring.resolved_topology_backend(), "implicit");
-  ring.n = at - 1;
-  EXPECT_EQ(ring.resolved_topology_backend(), "arena");
-  // Clique/gossip are implicit at any n (they never had an arena).
-  EXPECT_EQ(ScenarioSpec::parse("topology=gossip n=100").resolved_topology_backend(),
+  // A 10^9-node ring's ~16 GB arena does not fit 1 GiB.
+  EXPECT_EQ(topology_backend_of("topology=ring n=1e9 k=3 trials=1", std::uint64_t{1} << 30),
             "implicit");
-  EXPECT_EQ(ScenarioSpec::parse("topology=clique n=100").resolved_topology_backend(),
+  // The budget decides at the arena's exact bill.
+  const ScenarioSpec torus = ScenarioSpec::parse("topology=torus n=1e6 k=3 trials=2");
+  const Resolution at_arena = resolve(torus, 4);
+  ASSERT_EQ(at_arena.spec.topology_backend, "arena");
+  const std::uint64_t arena_bill = estimate_cell_memory_bytes(at_arena);
+  EXPECT_EQ(resolve(torus, 4, arena_bill).spec.topology_backend, "arena");
+  EXPECT_EQ(resolve(torus, 4, arena_bill - 1).spec.topology_backend, "implicit");
+  // Past the u32 node ids no budget buys an arena (validate-only: no
+  // graph is built).
+  ScenarioSpec huge = ScenarioSpec::parse("topology=lattice:4 k=3 trials=1");
+  huge.n = 4294967296ULL;
+  EXPECT_EQ(resolve(huge, 4, ~std::uint64_t{0}).spec.topology_backend, "implicit");
+}
+
+TEST(TopologyBackend, AutoFollowsTheFamilyWhereThereIsNoChoice) {
+  // Clique and gossip are implicit by construction, at any budget.
+  EXPECT_EQ(topology_backend_of("topology=gossip n=100", ~std::uint64_t{0}), "implicit");
+  EXPECT_EQ(topology_backend_of("topology=clique n=100 backend=graph", ~std::uint64_t{0}),
             "implicit");
-  // Arena-only families always resolve to arena.
-  EXPECT_EQ(ScenarioSpec::parse("topology=regular:8 n=1e7").resolved_topology_backend(),
-            "arena");
+  // The random families have only an arena form, even over budget (the
+  // sweep preflight refuses such a cell instead).
+  for (const char* topology : {"regular:8", "er:0.001", "gnm:40000"}) {
+    EXPECT_EQ(topology_backend_of(std::string("topology=") + topology + " n=1e4", 1), "arena")
+        << topology;
+  }
   // Explicit values are identities.
-  EXPECT_EQ(ScenarioSpec::parse("topology=ring n=1e7 topology_backend=arena")
-                .resolved_topology_backend(),
-            "arena");
+  EXPECT_EQ(topology_backend_of("topology=ring n=1e7 topology_backend=arena", 1), "arena");
+  EXPECT_EQ(topology_backend_of("topology=ring n=100 topology_backend=implicit"), "implicit");
+  // The count backend builds no graph and keeps the field as given.
+  EXPECT_EQ(topology_backend_of("topology=clique n=100"), "auto");
 }
 
 TEST(TopologyBackend, ValidationRejectsImpossibleCombinations) {
@@ -94,7 +118,7 @@ TEST(TopologyBackend, U32NodeIdBoundaryIsValidatedWithEscapeHatch) {
   ScenarioSpec implicit_ring = ScenarioSpec::parse("topology=ring");
   implicit_ring.n = kU32Max + 1;
   EXPECT_NO_THROW(implicit_ring.validate());
-  EXPECT_EQ(implicit_ring.resolved_topology_backend(), "implicit");
+  EXPECT_EQ(resolve(implicit_ring, 4).spec.topology_backend, "implicit");
   // Clique/gossip keep the 32-bit cap: the batched sampler's bound is n.
   ScenarioSpec gossip = ScenarioSpec::parse("topology=gossip");
   gossip.n = kU32Max + 1;
@@ -102,9 +126,8 @@ TEST(TopologyBackend, U32NodeIdBoundaryIsValidatedWithEscapeHatch) {
 }
 
 TEST(TopologyBackend, CompileEchoesResolvedBackendAndBuildsImplicit) {
-  // Above-threshold would be slow to step, so compile a forced-implicit
-  // small ring and a small gossip instead; the resolved spec must echo the
-  // concrete choice, and the graphs must carry no arena.
+  // A forced-implicit small ring and a small gossip: the resolved spec
+  // must echo the concrete choice, and the graphs must carry no arena.
   const Scenario ring = Scenario::compile(
       ScenarioSpec::parse("topology=ring n=1000 topology_backend=implicit trials=1"));
   EXPECT_EQ(ring.spec().topology_backend, "implicit");

@@ -22,8 +22,10 @@
 
 #include "io/checkpoint.hpp"
 #include "net/socket.hpp"
+#include "scenario/resolve.hpp"
 #include "sweep/cell_runner.hpp"
 #include "sweep/orchestrator.hpp"
+#include "sweep/preflight.hpp"
 #include "sweep/watchdog.hpp"
 
 namespace plurality::service {
@@ -135,6 +137,7 @@ void compute_and_complete(FakeWorker& fake, const io::JsonValue& lease,
   cell.index = index;
   cell.id = lease.at("cell").as_string();
   cell.requested = master.spec.expand().at(index);
+  (void)sweep::preflight_cell(cell, scenario::default_memory_budget_bytes());
 
   sweep::FaultInjector injector(sweep::FaultPlan{}, master.out_dir);
   sweep::Watchdog watchdog;

@@ -66,7 +66,7 @@ TEST(Orchestrator, CellsMatchStandaloneScenariosBitwise) {
     for (std::size_t i = 0; i < standalone.summary.round_samples.size(); ++i) {
       EXPECT_EQ(cell.summary.round_samples[i], standalone.summary.round_samples[i]);
     }
-    EXPECT_EQ(cell.resolved_backend, standalone.resolved.backend);
+    EXPECT_EQ(cell.resolved.backend, standalone.resolved.backend);
   }
 }
 
@@ -204,7 +204,7 @@ TEST(Orchestrator, ResumeRecomputesCellsOfTheRemovedAgentBackend) {
   options.out_dir = dir.string();
   const SweepOutcome first = run_sweep(sweep, options);
   ASSERT_EQ(first.cells.size(), 1u);
-  ASSERT_EQ(first.cells[0].resolved_backend, "graph");
+  ASSERT_EQ(first.cells[0].resolved.backend, "graph");
 
   const fs::path cell = dir / "cells" / "cell_00000.json";
   std::string text = io::read_checkpoint_file(cell.string()).to_string();
@@ -218,7 +218,7 @@ TEST(Orchestrator, ResumeRecomputesCellsOfTheRemovedAgentBackend) {
   const SweepOutcome resumed = run_sweep(sweep, options);
   EXPECT_EQ(resumed.resumed, 0u);
   EXPECT_EQ(resumed.ran, 1u);
-  EXPECT_EQ(resumed.cells[0].resolved_backend, "graph");
+  EXPECT_EQ(resumed.cells[0].resolved.backend, "graph");
   EXPECT_EQ(resumed.cells[0].metrics.rounds_mean, first.cells[0].metrics.rounds_mean);
 }
 

@@ -1,4 +1,5 @@
-// Preflight memory estimates (sweep/preflight.hpp).
+// Memory bills of resolved cells (scenario/resolve.hpp), the numbers the
+// sweep preflight (sweep/preflight.hpp) admits and refuses cells by.
 //
 // The load-bearing regression: estimate_cell_memory_bytes once computed
 // clique edge counts as (n*(n-1))/2 in plain u64, which WRAPS for
@@ -21,6 +22,7 @@
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
 #include "graph/topology_registry.hpp"
+#include "scenario/resolve.hpp"
 #include "scenario/spec.hpp"
 #include "support/check.hpp"
 #include "sweep/preflight.hpp"
@@ -30,6 +32,18 @@ namespace {
 
 scenario::ScenarioSpec spec_of(const std::string& text) {
   return scenario::ScenarioSpec::parse(text);
+}
+
+/// The bill of `spec` as the resolver resolves it for `threads` threads
+/// under the default memory budget.
+std::uint64_t bill(const scenario::ScenarioSpec& spec, int threads = execution_thread_budget()) {
+  return scenario::estimate_cell_memory_bytes(scenario::resolve(spec, threads));
+}
+
+/// The bill of a spec that was never resolved (nor validated): its fields
+/// as written, under a default plan.
+std::uint64_t unresolved_bill(const scenario::ScenarioSpec& spec) {
+  return scenario::estimate_cell_memory_bytes({spec, ExecutionPlan{}});
 }
 
 TEST(Preflight, HugeCliqueFallbackSaturatesInsteadOfWrapping) {
@@ -43,20 +57,20 @@ TEST(Preflight, HugeCliqueFallbackSaturatesInsteadOfWrapping) {
   spec.topology = "edges:/nonexistent/preflight_wrap_regression.txt";
   spec.n = 7'000'000'000ULL;
   spec.k = 2;
-  const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
+  const std::uint64_t estimate = unresolved_bill(spec);
   EXPECT_GE(estimate, std::uint64_t{1} << 60)
       << "a ~2.4e19-edge fallback estimate must not wrap into 'fits'";
 }
 
 TEST(Preflight, ArenaEdgeArithmeticSaturates) {
   // Forced-arena estimates at absurd n must clamp, not wrap. (The spec
-  // would fail validation — preflight estimates are deliberately usable
-  // on unvalidated specs so refusal messages can name the real number.)
+  // would fail validation — bills are deliberately usable on unresolved
+  // specs, which bill the costlier case of each "auto".)
   scenario::ScenarioSpec spec;
   spec.topology = "regular:64";
   spec.topology_backend = "arena";
   spec.n = 1'000'000'000'000'000'000ULL;  // 64 * n wraps u64 without saturation
-  EXPECT_GE(estimate_cell_memory_bytes(spec), std::uint64_t{1} << 60);
+  EXPECT_GE(unresolved_bill(spec), std::uint64_t{1} << 60);
 }
 
 TEST(Preflight, GossipBillionFitsSmallBudget) {
@@ -64,22 +78,25 @@ TEST(Preflight, GossipBillionFitsSmallBudget) {
   // byte arrays (~2 GB), NOT a clique arena (~4e18 edges). The estimate
   // must admit the cell under a 3 GiB budget.
   const auto spec = spec_of("topology=gossip n=1e9 k=2 trials=1 engine=batched");
-  const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
+  const std::uint64_t estimate = bill(spec);
   EXPECT_LT(estimate, std::uint64_t{3} << 30);
   EXPECT_GT(estimate, std::uint64_t{1} << 30);  // ~2n bytes of state is real
 }
 
 TEST(Preflight, ImplicitRingBillionFitsSmallBudget) {
+  // Its ~16 GB arena does not fit 3 GiB, so auto resolves the ring to the
+  // implicit form, billed for its node states alone.
   const auto spec = spec_of("topology=ring n=1e9 k=3 trials=1");
-  EXPECT_LT(estimate_cell_memory_bytes(spec), std::uint64_t{3} << 30);
+  constexpr std::uint64_t kBudget = std::uint64_t{3} << 30;
+  EXPECT_LT(scenario::estimate_cell_memory_bytes(scenario::resolve(spec, 4, kBudget)), kBudget);
 }
 
 TEST(Preflight, ImplicitIsCheaperThanArenaForSameTopology) {
-  // Below the auto threshold ring resolves to arena (CSR billed); forcing
-  // implicit must strictly shrink the estimate. Same n, same k.
+  // Forcing implicit must strictly shrink the estimate against the
+  // arena's CSR bill. Same n, same k.
   const auto arena = spec_of("topology=ring n=1e6 topology_backend=arena");
   const auto implicit = spec_of("topology=ring n=1e6 topology_backend=implicit");
-  EXPECT_LT(estimate_cell_memory_bytes(implicit), estimate_cell_memory_bytes(arena));
+  EXPECT_LT(bill(implicit), bill(arena));
 }
 
 TEST(Preflight, CoarseOrderingAcrossBackends) {
@@ -88,9 +105,9 @@ TEST(Preflight, CoarseOrderingAcrossBackends) {
   const auto count = spec_of("topology=clique dynamics=3-majority n=1e6 backend=count");
   const auto clique = spec_of("topology=clique dynamics=3-majority n=1e6 backend=graph");
   const auto graph = spec_of("topology=regular:8 n=1e6");
-  EXPECT_LT(estimate_cell_memory_bytes(count), std::uint64_t{1} << 22);
-  EXPECT_LT(estimate_cell_memory_bytes(count), estimate_cell_memory_bytes(clique));
-  EXPECT_LE(estimate_cell_memory_bytes(clique), estimate_cell_memory_bytes(graph));
+  EXPECT_LT(bill(count), std::uint64_t{1} << 22);
+  EXPECT_LT(bill(count), bill(clique));
+  EXPECT_LE(bill(clique), bill(graph));
 }
 
 TEST(Preflight, NoExactLawCliqueIsBilledAsImplicitGraphCell) {
@@ -101,10 +118,10 @@ TEST(Preflight, NoExactLawCliqueIsBilledAsImplicitGraphCell) {
   const std::uint64_t n = std::uint64_t{1} << 24;
   const auto spec = spec_of("dynamics=20-plurality topology=clique n=16777216 k=16 trials=1");
   ASSERT_EQ(spec.resolved_backend(), "graph");
-  const std::uint64_t clique = estimate_cell_memory_bytes(spec);
+  const std::uint64_t clique = bill(spec);
   EXPECT_GE(clique, 2 * n);
   EXPECT_LT(clique, 3 * n);
-  EXPECT_EQ(clique, estimate_cell_memory_bytes(spec_of(
+  EXPECT_EQ(clique, bill(spec_of(
                         "dynamics=20-plurality topology=gossip n=16777216 k=16 trials=1")));
   // The spec's old explicit form is refused by validation, naming the
   // removal.
@@ -121,17 +138,17 @@ TEST(Preflight, ByteStateCellsAreBilledTwoBytesPerNode) {
   // k <= 256 graph cells hold one byte double buffer: ~2n state bytes at
   // any n, where the old u32 + byte-mirror layout billed 10n.
   const std::uint64_t n = std::uint64_t{1} << 24;
-  const std::uint64_t gossip = estimate_cell_memory_bytes(
+  const std::uint64_t gossip = bill(
       spec_of("topology=gossip n=16777216 k=8 trials=1 engine=batched"));
   EXPECT_GE(gossip, 2 * n);
   EXPECT_LT(gossip, 3 * n);
   // Above 256 states the double buffer is two u32 arrays: 8n.
-  const std::uint64_t wide = estimate_cell_memory_bytes(
+  const std::uint64_t wide = bill(
       spec_of("topology=gossip n=16777216 k=300 trials=1 engine=batched"));
   EXPECT_GE(wide, 8 * n);
   EXPECT_LT(wide, 9 * n);
   // The undecided state counts: 256 colors are 257 states, billed wide.
-  const std::uint64_t undecided = estimate_cell_memory_bytes(
+  const std::uint64_t undecided = bill(
       spec_of("dynamics=undecided topology=gossip n=16777216 k=256 trials=1 "
               "engine=batched"));
   EXPECT_GE(undecided, 8 * n);
@@ -142,16 +159,16 @@ TEST(Preflight, TrialsPlanBillsOneWorkspacePerThread) {
   // workspace; trials = 4 runs under a `trials` plan, one trial (and one
   // ~2n-byte workspace) per thread at once.
   const std::uint64_t n = std::uint64_t{1} << 24;
-  const std::uint64_t one = estimate_cell_memory_bytes(
+  const std::uint64_t one = bill(
       spec_of("topology=gossip n=16777216 k=2 trials=1 engine=batched"), 4);
-  const std::uint64_t four = estimate_cell_memory_bytes(
+  const std::uint64_t four = bill(
       spec_of("topology=gossip n=16777216 k=2 trials=4 engine=batched"), 4);
   EXPECT_GE(one, 2 * n);
   EXPECT_LT(one, 3 * n);
   EXPECT_GE(four, 4 * 2 * n);
   EXPECT_LT(four, 4 * 3 * n);
   // More trials than threads: still one workspace per thread.
-  EXPECT_EQ(four, estimate_cell_memory_bytes(
+  EXPECT_EQ(four, bill(
                       spec_of("topology=gossip n=16777216 k=2 trials=20 engine=batched"), 4));
 }
 
@@ -181,6 +198,11 @@ TEST(Preflight, ArenaBuildsStayUnderTheirBill) {
   // are not counted as the cell's data. (lattice:8 once grew ~580 MiB
   // while billed ~240 MiB: its builder held an edge list and a second CSR
   // beside the arena.)
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan's shadow memory and allocator redzones inflate the child's RSS "
+                  "past a bill that models an uninstrumented build; the uninstrumented "
+                  "builds enforce this check";
+#endif
   const count_t n = 4'000'000;
   const auto temp = std::filesystem::temp_directory_path();
   const std::string pid = std::to_string(getpid());
@@ -222,7 +244,7 @@ TEST(Preflight, ArenaBuildsStayUnderTheirBill) {
       build(c.tiny_topology, c.tiny_n);
       build(c.topology, n);
     });
-    const std::uint64_t estimate = estimate_cell_memory_bytes(
+    const std::uint64_t estimate = bill(
         spec_of("topology=" + c.topology + " n=4e6 k=8 trials=1 topology_backend=arena"), 1);
     EXPECT_LT(peak - warm, estimate) << c.topology << ": grew " << format_bytes(peak - warm)
                                      << ", billed " << format_bytes(estimate);

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "io/checkpoint.hpp"
+#include "scenario/resolve.hpp"
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
 #include "sweep/orchestrator.hpp"
@@ -260,16 +261,20 @@ TEST(Preflight, EstimatesRankBackendsAndTopologiesSanely) {
   scenario::ScenarioSpec dense_spec = scenario::ScenarioSpec::parse(
       "dynamics=3-majority n=1000000 k=4 backend=graph topology=er:0.01");
 
-  const auto count_bytes = estimate_cell_memory_bytes(count_spec);
-  const auto ring_bytes = estimate_cell_memory_bytes(ring_spec);
-  const auto dense_bytes = estimate_cell_memory_bytes(dense_spec);
+  const auto bill = [](const scenario::ScenarioSpec& spec) {
+    return scenario::estimate_cell_memory_bytes(
+        scenario::resolve(spec, execution_thread_budget()));
+  };
+  const auto count_bytes = bill(count_spec);
+  const auto ring_bytes = bill(ring_spec);
+  const auto dense_bytes = bill(dense_spec);
   // count is O(k); ring is O(n); er:0.01 at n=1e6 is ~5e9 edges.
   EXPECT_LT(count_bytes, 16u << 20);
   EXPECT_GT(ring_bytes, count_bytes);
   EXPECT_GT(dense_bytes, 100 * ring_bytes);
   EXPECT_GT(dense_bytes, 10ull << 30);
 
-  EXPECT_GT(default_memory_budget_bytes(), 1ull << 30);
+  EXPECT_GT(scenario::default_memory_budget_bytes(), 1ull << 30);
   EXPECT_EQ(format_bytes(1ull << 30), "1.0 GiB");
 }
 
@@ -293,6 +298,40 @@ TEST(Preflight, OverBudgetCellsAreRefusedAsFailedSpec) {
   }
   const std::string failures = file_bytes(dir / "failures.csv");
   EXPECT_NE(failures.find("failed_spec"), std::string::npos);
+}
+
+TEST(Preflight, RingOverItsArenaBudgetRunsImplicitAndEchoesIt) {
+  // A budget the ring's implicit bill fits and its arena bill does not:
+  // preflight resolves topology_backend=auto to implicit under that
+  // budget, the cell runs, and its file echoes the backend that ran.
+  // Under the default budget the same cell runs on the arena.
+  const SweepSpec sweep = SweepSpec::parse(
+      "dynamics=3-majority workload=bias:2c topology=ring n=20000 k=2 trials=2 "
+      "max_rounds=50");
+  const scenario::ScenarioSpec cell_spec = sweep.expand().at(0);
+  const auto bill_as = [&](const char* topology_backend) {
+    scenario::ScenarioSpec forced = cell_spec;
+    forced.topology_backend = topology_backend;
+    return scenario::estimate_cell_memory_bytes(
+        scenario::resolve(forced, execution_thread_budget()));
+  };
+  ASSERT_LT(bill_as("implicit"), bill_as("arena"));
+
+  const auto run_with_budget = [&](const char* name, std::uint64_t budget) {
+    SweepOptions options;
+    options.out_dir = fresh_dir(name).string();
+    options.memory_budget_bytes = budget;
+    const SweepOutcome outcome = run_sweep(sweep, options);
+    EXPECT_EQ(outcome.failed, 0u);
+    EXPECT_EQ(outcome.cells.at(0).status, CellStatus::Done) << outcome.cells.at(0).error;
+    EXPECT_EQ(outcome.cells.at(0).requested.topology_backend, "auto");
+    const io::JsonValue doc = io::read_checkpoint_file(
+        (fs::path(options.out_dir) / "cells" / "cell_00000.json").string());
+    EXPECT_EQ(doc.at("cell").at("requested").as_string(), cell_spec.to_spec_string());
+    return doc.at("spec").at("topology_backend").as_string();
+  };
+  EXPECT_EQ(run_with_budget("ring_implicit", bill_as("implicit")), "implicit");
+  EXPECT_EQ(run_with_budget("ring_arena", 0), "arena");
 }
 
 }  // namespace
