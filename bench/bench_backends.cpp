@@ -13,6 +13,7 @@
 #include "core/undecided.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
+#include "oracles/count_reference.hpp"
 #include "scenario/scenario.hpp"
 
 namespace plurality {
@@ -145,7 +146,7 @@ void BM_ParallelTrials(benchmark::State& state) {
   spec.seed = 7;
   const scenario::Scenario compiled = scenario::Scenario::compile(spec);
   CommonTrialOptions options = compiled.options();
-  options.parallelism = state.range(0) != 0 ? Parallelism::Trials : Parallelism::Rounds;
+  options.plan->parallelism = state.range(0) != 0 ? Parallelism::Trials : Parallelism::Rounds;
   for (auto _ : state) {
     const TrialSummary summary = run_trials(compiled.dynamics(), compiled.start(), options);
     benchmark::DoNotOptimize(summary.plurality_wins);

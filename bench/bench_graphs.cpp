@@ -42,7 +42,7 @@
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
-#include "graph/reference_sim.hpp"
+#include "oracles/reference_sim.hpp"
 #include "io/json.hpp"
 #include "rng/stream.hpp"
 #include "stats/summary.hpp"

@@ -3,9 +3,10 @@
 // The planner gives the OpenMP team to each round while it has at least
 // two threads per trial, and to the trials otherwise.
 // This bench measures that trial-count threshold: for trials = 1 ..
-// threads it runs the same trials with CommonTrialOptions::parallelism
-// forced to Trials and to Rounds, the two shapes interleaved per
-// repetition, every trial capped at the cell's round count. Results are
+// threads it runs the same trials with the plan's parallelism
+// (CommonTrialOptions::plan) forced to Trials and to Rounds, the two
+// shapes interleaved per repetition, every trial capped at the cell's
+// round count. Results are
 // bitwise equal either way (tests/core/test_execution_plan.cpp), so both
 // shapes do identical work and only time differs.
 //
@@ -62,7 +63,7 @@ Sample measure(const scenario::Scenario& compiled, std::uint64_t trials, round_t
     CommonTrialOptions options = compiled.options();
     options.trials = trials;
     options.max_rounds = cap;
-    options.parallelism = p;
+    options.plan->parallelism = p;
     return graph::run_graph_trials(compiled.dynamics(), compiled.graph(), compiled.start(),
                                    options);
   };

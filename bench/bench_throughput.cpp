@@ -14,10 +14,7 @@
 // count round replaces: rounds/sec x n); only graph rows report literal
 // `node_updates_per_sec`. (Version 3: the per-agent rows are backend
 // "graph", the strict graph engine on AgentGraph::complete; version 2 had
-// them as backend "agent", a clique stepper bitwise equal to it.) The
-// count grid also carries the generator-engine A/B: xoshiro (sequential)
-// vs rng::PhiloxStream (counter-based block-generated uniforms feeding the
-// same multinomial kernels).
+// them as backend "agent", a clique stepper bitwise equal to it.)
 //
 // Timing discipline and the JSON header come from bench/harness.hpp. The
 // shared --threads flag pins the OpenMP team size for reproducible
@@ -32,7 +29,7 @@
 #include "graph/agent_graph.hpp"
 #include "harness.hpp"
 #include "io/json.hpp"
-#include "rng/philox.hpp"
+#include "oracles/count_reference.hpp"
 #include "support/format.hpp"
 
 namespace plurality::bench {
@@ -78,10 +75,9 @@ struct GridCell {
   bool literal_node_updates = false;  // graph rows only
 };
 
-/// rounds/sec of one count-backend cell under generator `gen`.
-template <class Gen>
+/// rounds/sec of one count-backend cell.
 double measure_count_cell(const Dynamics& dynamics, const Configuration& start,
-                          double budget, Gen& gen, StepWorkspace& ws) {
+                          double budget, rng::Xoshiro256pp& gen, StepWorkspace& ws) {
   Configuration config = start;
   return measure_rounds_per_sec(
       budget, kRearmPeriod, kWarmupRounds, [&] { config = start; },
@@ -103,16 +99,14 @@ int run(int argc, const char* const* argv) {
   exp.record().set_expectation(
       "count-based rounds/sec is independent of n; the sparse workspace "
       "stepper beats the dense reference by >= 3x on stateful stepping at "
-      "k >= 256 with few occupied classes; xoshiro and Philox count "
-      "stepping are within noise of each other");
+      "k >= 256 with few occupied classes");
   exp.print_header();
 
   ThreeMajority majority;
   UndecidedState undecided;
   std::vector<GridCell> cells;
 
-  // --- Count-based backend grid: Θ(k)-ish per round, any n; both
-  //     generator engines. ---
+  // --- Count-based backend grid: Θ(k)-ish per round, any n. ---
   {
     const std::vector<count_t> ns =
         exp.quick() ? std::vector<count_t>{1'000'000}
@@ -120,19 +114,14 @@ int run(int argc, const char* const* argv) {
     const std::vector<state_t> ks = exp.quick() ? std::vector<state_t>{8, 256}
                                                 : std::vector<state_t>{8, 64, 256, 1024};
     StepWorkspace ws;
-    rng::Xoshiro256pp xgen(1);
-    rng::PhiloxStream pgen(1);
+    rng::Xoshiro256pp gen(1);
     for_grid(ns, ks, [&](count_t n, state_t k) {
       const Configuration start_m = dense_start(n, k);
       const Configuration start_u = UndecidedState::extend_with_undecided(dense_start(n, k));
       cells.push_back({"count", majority.name(), n, k,
-                       measure_count_cell(majority, start_m, budget, xgen, ws), false});
+                       measure_count_cell(majority, start_m, budget, gen, ws), false});
       cells.push_back({"count", undecided.name(), n, k,
-                       measure_count_cell(undecided, start_u, budget, xgen, ws), false});
-      cells.push_back({"count-philox", majority.name(), n, k,
-                       measure_count_cell(majority, start_m, budget, pgen, ws), false});
-      cells.push_back({"count-philox", undecided.name(), n, k,
-                       measure_count_cell(undecided, start_u, budget, pgen, ws), false});
+                       measure_count_cell(undecided, start_u, budget, gen, ws), false});
     });
   }
 

@@ -116,7 +116,7 @@ int run(int argc, char** argv) {
       std::cout << "[" << done << "/" << total << "] " << cell.id << "  "
                 << cell.requested.dynamics << " on " << cell.requested.topology << "  n="
                 << format_count(cell.requested.n) << " k=" << cell.requested.k << "  ("
-                << cell.resolved.backend << "/" << cell.requested.engine << ")"
+                << cell.resolved.backend << "/" << cell.resolved.engine << ")"
                 << (cell.resumed
                         ? "  [resumed]"
                         : "  rounds mean " +

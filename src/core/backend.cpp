@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <array>
 
-#include "rng/binomial.hpp"
 #include "rng/multinomial.hpp"
 #include "support/check.hpp"
 
 namespace plurality {
 
-template <class Gen>
-void step_count_based(const Dynamics& dynamics, std::span<const CountLane<Gen>> lanes) {
+void step_count_based(const Dynamics& dynamics, std::span<const CountLane> lanes) {
   PLURALITY_REQUIRE(!lanes.empty() && lanes.size() <= rng::kMaxLanes,
                     "count-based step: takes 1 to " << rng::kMaxLanes << " lanes, got "
                                                     << lanes.size());
-  for (const CountLane<Gen>& lane : lanes) {
+  for (const CountLane& lane : lanes) {
     const state_t k = lane.config->k();
     PLURALITY_REQUIRE(dynamics.has_exact_law(k),
                       "count-based step: dynamics '" << dynamics.name()
@@ -24,15 +22,15 @@ void step_count_based(const Dynamics& dynamics, std::span<const CountLane<Gen>> 
     std::fill(lane.ws->next.begin(), lane.ws->next.end(), count_t{0});
   }
 
-  std::array<rng::MultinomialLane<Gen>, rng::kMaxLanes> draws;
+  std::array<rng::MultinomialLane, rng::kMaxLanes> draws;
   if (!dynamics.law_depends_on_own_state()) {
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       StepWorkspace& ws = *lanes[l].ws;
       dynamics.adoption_law(ws.counts_real, ws.law);
       draws[l] = {lanes[l].gen, lanes[l].config->n(), ws.law, ws.next, &ws.multinomial};
     }
-    rng::multinomial_accumulate(std::span<const rng::MultinomialLane<Gen>>(draws.data(),
-                                                                           lanes.size()));
+    rng::multinomial_accumulate(
+        std::span<const rng::MultinomialLane>(draws.data(), lanes.size()));
   } else {
     // Nodes within one own-state class are i.i.d.; each class contributes
     // its own multinomial and the class draws are independent given the
@@ -77,7 +75,7 @@ void step_count_based(const Dynamics& dynamics, std::span<const CountLane<Gen>> 
         }
       }
       if (batch == 0) break;
-      const std::span<const rng::MultinomialLane<Gen>> batch_lanes(draws.data(), batch);
+      const std::span<const rng::MultinomialLane> batch_lanes(draws.data(), batch);
       if (sparse) {
         rng::multinomial_accumulate_indexed(batch_lanes);
       } else {
@@ -90,90 +88,18 @@ void step_count_based(const Dynamics& dynamics, std::span<const CountLane<Gen>> 
   // capacities between the configuration and the workspace, so a workspace
   // shared across different k values would re-allocate every round. The
   // copy is k words into an already-sized buffer.
-  for (const CountLane<Gen>& lane : lanes) lane.config->assign_counts(lane.ws->next);
+  for (const CountLane& lane : lanes) lane.config->assign_counts(lane.ws->next);
 }
 
-template <class Gen>
-void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen,
+void step_count_based(const Dynamics& dynamics, Configuration& config, rng::Xoshiro256pp& gen,
                       StepWorkspace& ws) {
-  const CountLane<Gen> lane{&config, &gen, &ws};
-  step_count_based(dynamics, std::span<const CountLane<Gen>>(&lane, 1));
+  const CountLane lane{&config, &gen, &ws};
+  step_count_based(dynamics, std::span<const CountLane>(&lane, 1));
 }
 
-template <class Gen>
-void step_count_based(const Dynamics& dynamics, Configuration& config, Gen& gen) {
+void step_count_based(const Dynamics& dynamics, Configuration& config, rng::Xoshiro256pp& gen) {
   StepWorkspace ws;
   step_count_based(dynamics, config, gen, ws);
-}
-
-// The two shipped engines (see backend.hpp).
-template void step_count_based<rng::Xoshiro256pp>(
-    const Dynamics&, std::span<const CountLane<rng::Xoshiro256pp>>);
-template void step_count_based<rng::PhiloxStream>(
-    const Dynamics&, std::span<const CountLane<rng::PhiloxStream>>);
-template void step_count_based<rng::Xoshiro256pp>(const Dynamics&, Configuration&,
-                                                  rng::Xoshiro256pp&, StepWorkspace&);
-template void step_count_based<rng::PhiloxStream>(const Dynamics&, Configuration&,
-                                                  rng::PhiloxStream&, StepWorkspace&);
-template void step_count_based<rng::Xoshiro256pp>(const Dynamics&, Configuration&,
-                                                  rng::Xoshiro256pp&);
-template void step_count_based<rng::PhiloxStream>(const Dynamics&, Configuration&,
-                                                  rng::PhiloxStream&);
-
-void step_count_based_reference(const Dynamics& dynamics, Configuration& config,
-                                rng::Xoshiro256pp& gen) {
-  // Frozen pre-workspace implementation (dense conditional-binomial loop,
-  // per-round allocations). Do not optimize: it is the bitwise baseline the
-  // determinism tests and bench_throughput compare against.
-  const state_t k = config.k();
-  PLURALITY_REQUIRE(dynamics.has_exact_law(k),
-                    "count-based step: dynamics '" << dynamics.name()
-                                                   << "' has no exact law at k=" << k);
-  const std::vector<double> counts = config.counts_real();
-  std::vector<double> law(k);
-  std::vector<count_t> next(k, 0);
-
-  auto dense_multinomial = [&gen](count_t n, std::span<const double> probs,
-                                  std::span<count_t> out) {
-    const std::size_t kk = probs.size();
-    std::vector<double> suffix(kk + 1, 0.0);
-    for (std::size_t j = kk; j-- > 0;) {
-      double w = probs[j];
-      PLURALITY_REQUIRE(w > -1e-9, "multinomial: negative weight " << w << " at " << j);
-      if (w < 0.0) w = 0.0;
-      suffix[j] = suffix[j + 1] + w;
-    }
-    PLURALITY_REQUIRE(suffix[0] > 0.0, "multinomial: all weights zero");
-    count_t remaining = n;
-    for (std::size_t j = 0; j + 1 < kk; ++j) {
-      if (remaining == 0 || suffix[j] <= 0.0) {
-        out[j] = 0;
-        continue;
-      }
-      double pc = probs[j] <= 0.0 ? 0.0 : probs[j] / suffix[j];
-      if (pc > 1.0) pc = 1.0;
-      const count_t draw = rng::binomial(gen, remaining, pc);
-      out[j] = draw;
-      remaining -= draw;
-    }
-    out[kk - 1] = remaining;
-  };
-
-  if (!dynamics.law_depends_on_own_state()) {
-    dynamics.adoption_law(counts, law);
-    dense_multinomial(config.n(), law, next);
-  } else {
-    std::vector<count_t> class_next(k, 0);
-    for (state_t s = 0; s < k; ++s) {
-      const count_t class_size = config.at(s);
-      if (class_size == 0) continue;
-      dynamics.adoption_law_given(s, counts, law);
-      dense_multinomial(class_size, law, class_next);
-      for (state_t j = 0; j < k; ++j) next[j] += class_next[j];
-    }
-  }
-
-  config = Configuration(std::move(next));
 }
 
 }  // namespace plurality

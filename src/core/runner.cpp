@@ -24,12 +24,6 @@ CountTrial::CountTrial(const Dynamics& dynamics, Configuration start,
                            "graph::run_graph_trials on graph::AgentGraph::complete");
 
   result_.initial_plurality = config_.plurality(num_colors_);
-  if (options.engine == EngineMode::Batched) {
-    // One draw keys the counter-based stepping stream; `gen` stays the
-    // source for everything else (adversary moves, factory randomness), so
-    // switching engines never perturbs those streams.
-    philox_.emplace(gen());
-  }
 
   if (options.observer != nullptr) {
     options.observer->begin_trial(options.observer_trial, config_, num_colors_);
@@ -108,26 +102,13 @@ void step_trials(std::span<CountTrial* const> trials) {
   }
   if (count == 0) return;
   const CountTrial& first = *live[0];
-  for (std::size_t l = 1; l < count; ++l) {
-    PLURALITY_REQUIRE(&live[l]->dynamics_ == &first.dynamics_ &&
-                          live[l]->philox_.has_value() == first.philox_.has_value(),
-                      "step_trials: lockstep runs must share the dynamics and engine");
+  std::array<CountLane, rng::kMaxLanes> lanes;
+  for (std::size_t l = 0; l < count; ++l) {
+    PLURALITY_REQUIRE(&live[l]->dynamics_ == &first.dynamics_,
+                      "step_trials: lockstep runs must share the dynamics");
+    lanes[l] = {&live[l]->config_, &live[l]->gen_, &live[l]->ws_};
   }
-  if (first.philox_) {
-    std::array<CountLane<rng::PhiloxStream>, rng::kMaxLanes> lanes;
-    for (std::size_t l = 0; l < count; ++l) {
-      lanes[l] = {&live[l]->config_, &*live[l]->philox_, &live[l]->ws_};
-    }
-    step_count_based(first.dynamics_,
-                     std::span<const CountLane<rng::PhiloxStream>>(lanes.data(), count));
-  } else {
-    std::array<CountLane<rng::Xoshiro256pp>, rng::kMaxLanes> lanes;
-    for (std::size_t l = 0; l < count; ++l) {
-      lanes[l] = {&live[l]->config_, &live[l]->gen_, &live[l]->ws_};
-    }
-    step_count_based(first.dynamics_,
-                     std::span<const CountLane<rng::Xoshiro256pp>>(lanes.data(), count));
-  }
+  step_count_based(first.dynamics_, std::span<const CountLane>(lanes.data(), count));
   for (std::size_t l = 0; l < count; ++l) live[l]->end_round();
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,8 +19,6 @@
 #include "core/backend.hpp"
 #include "core/configuration.hpp"
 #include "core/dynamics.hpp"
-#include "core/engine_mode.hpp"
-#include "rng/philox.hpp"
 #include "rng/xoshiro.hpp"
 #include "support/cancellation.hpp"
 #include "support/types.hpp"
@@ -64,14 +61,6 @@ struct RunResult {
 
 struct RunOptions {
   round_t max_rounds = 1'000'000;
-  /// Stepping pipeline. Strict is the bitwise-pinned xoshiro default;
-  /// Batched steps with block-generated PhiloxStream uniforms through the same exact conditional-binomial kernels (the
-  /// count-side face of the graph engine's mode axis — distributionally
-  /// equivalent, not bitwise). The Philox stream is keyed off one draw from
-  /// the caller's generator, so trials stay independent and thread-
-  /// invariant; adversary and factory randomness keep using the caller's
-  /// generator either way.
-  EngineMode engine = EngineMode::Strict;
   /// Applied after every protocol step.
   const Adversary* adversary = nullptr;
   /// Optional extra stop condition, checked after each round:
@@ -127,9 +116,6 @@ class CountTrial {
   const RunOptions& options_;
   rng::Xoshiro256pp& gen_;
   StepWorkspace& ws_;
-  /// Keyed off one draw of `gen_` in the Batched engine (see
-  /// RunOptions::engine); empty in Strict.
-  std::optional<rng::PhiloxStream> philox_;
   state_t num_colors_;
   round_t round_ = 0;
   bool done_ = false;
@@ -138,7 +124,7 @@ class CountTrial {
 };
 
 /// Advances every run in `trials` (1 to rng::kMaxLanes runs, none done, of
-/// one dynamics and engine) by one round, drawing their protocol steps as
+/// one dynamics) by one round, drawing their protocol steps as
 /// one lockstep batch (step_count_based over lanes). A run stopped by its
 /// cancel token takes no step.
 void step_trials(std::span<CountTrial* const> trials);

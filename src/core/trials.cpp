@@ -95,12 +95,6 @@ TrialSummary TrialOutcomes::summarize() const {
   return summary;
 }
 
-Parallelism resolve_parallelism(const CommonTrialOptions& options, TrialDriver driver,
-                                count_t nodes) {
-  if (options.parallelism) return *options.parallelism;
-  return plan_execution(options.trials, driver, nodes, execution_thread_budget()).parallelism;
-}
-
 namespace {
 
 /// One trial slot of a thread: the trial's generator, scratch and options
@@ -118,9 +112,11 @@ struct Lane {
 TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
                         const CommonTrialOptions& options) {
   PLURALITY_REQUIRE(options.trials > 0, "run_trials: need at least one trial");
+  PLURALITY_REQUIRE(options.mode == EngineMode::Strict,
+                    "run_trials: the count driver has one engine, strict; the batched "
+                    "pipeline runs on the graph driver (graph::run_graph_trials)");
   RunOptions run_options;
   run_options.max_rounds = options.max_rounds;
-  run_options.engine = options.mode;
   run_options.adversary = options.adversary;
   run_options.stop_predicate = options.stop_predicate;
   run_options.observer = options.observer;
@@ -132,8 +128,9 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
   // The count driver's plan does not depend on n (its rounds have no
   // parallel loop), so no start needs building to make it.
   const ExecutionPlan plan =
-      plan_execution(options.trials, TrialDriver::Count, 0, execution_thread_budget());
-  const Parallelism parallelism = options.parallelism.value_or(plan.parallelism);
+      options.plan ? *options.plan
+                   : plan_execution(options.trials, TrialDriver::Count, 0,
+                                    execution_thread_budget());
   const auto lanes = static_cast<std::size_t>(plan.lanes);
   PLURALITY_CHECK_MSG(lanes >= 1 && lanes <= rng::kMaxLanes, "run_trials: lanes " << lanes);
 
@@ -185,14 +182,13 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
   };
 
 #if defined(PLURALITY_HAVE_OPENMP)
-  if (parallelism == Parallelism::Trials) {
+  if (plan.parallelism == Parallelism::Trials) {
 #pragma omp parallel
     run_thread();
   } else {
     run_thread();
   }
 #else
-  (void)parallelism;
   run_thread();
 #endif
 

@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/engine_mode.hpp"
 #include "core/execution_plan.hpp"
 #include "core/runner.hpp"
 #include "rng/stream.hpp"
@@ -57,16 +58,19 @@ struct TrialSummary {
 struct CommonTrialOptions {
   std::uint64_t trials = 100;
   std::uint64_t seed = 1;
-  /// How the trials use the OpenMP team. Unset (the default) = the
-  /// execution planner decides at the driver's entry, from the trial count,
-  /// the driver, the population and execution_thread_budget(). Setting it
-  /// forces one shape (tests and measurements); results are bitwise the
-  /// same either way.
-  std::optional<Parallelism> parallelism;
+  /// The execution plan the driver runs: its parallelism, and on the count
+  /// driver its lanes. Unset (the default) = the driver calls
+  /// plan_execution at entry, from the trial count, the driver, the
+  /// population and execution_thread_budget(). Scenario::compile sets the
+  /// plan it resolved, so a scenario runs the plan its result echoes;
+  /// tests and measurements set one to force a shape. Results are bitwise
+  /// the same under any plan.
+  std::optional<ExecutionPlan> plan;
   round_t max_rounds = 1'000'000;
-  /// Stepping pipeline (see core/engine_mode.hpp). Count backend: Strict =
-  /// xoshiro, Batched = PhiloxStream. Graph backend: Strict = fused
-  /// xoshiro kernels, Batched = counter-based stage-split SIMD pipeline.
+  /// Stepping pipeline of the graph driver (see core/engine_mode.hpp):
+  /// Strict = fused xoshiro kernels, Batched = counter-based stage-split
+  /// SIMD pipeline. The count driver has one engine, Strict (the trial's
+  /// xoshiro stream); run_trials rejects Batched.
   EngineMode mode = EngineMode::Strict;
   /// Applied after every protocol round (count-level on the count backend,
   /// node-level via corrupt_nodes on the graph backend).
@@ -124,12 +128,6 @@ class TrialOutcomes {
   std::vector<double> round_samples_;
 };
 
-/// The parallelism a driver runs `options` with: the forced value when set,
-/// else plan_execution(options.trials, driver, nodes,
-/// execution_thread_budget()). `nodes` is the population one round covers.
-[[nodiscard]] Parallelism resolve_parallelism(const CommonTrialOptions& options,
-                                              TrialDriver driver, count_t nodes);
-
 /// Runs `options.trials` independent runs from factory-generated starts —
 /// the count-path trial driver (clique model; for sparse topologies see
 /// graph::run_graph_trials, which consumes the same CommonTrialOptions).
@@ -137,6 +135,7 @@ class TrialOutcomes {
 /// `lanes` trials in flight (CountTrial) and steps them in lockstep
 /// (step_trials), starting the next trial in a lane as soon as its own
 /// ends. Every trial's outcome is what run_dynamics gives it alone.
+/// Throws CheckError for options.mode == Batched, a graph-driver pipeline.
 TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
                         const CommonTrialOptions& options);
 

@@ -150,7 +150,7 @@ namespace {
 
 /// Shared chunked-step body, instantiated once per fused rule and state
 /// width. The chunk grid, stream derivation, and publish order are
-/// bit-for-bit the frozen reference's (reference_sim.cpp); only the
+/// bit-for-bit the frozen reference's (tests/oracles/reference_sim.cpp); only the
 /// per-node inner loop differs.
 template <class Rule, typename TNode>
 void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGraph& graph,

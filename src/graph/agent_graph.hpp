@@ -20,7 +20,7 @@
 //    with a virtual-dispatch fallback for unregistered dynamics.
 //
 // The stepper is pinned BITWISE to the frozen pre-refactor implementation
-// (reference_sim.hpp): same streams, same sampling order, same states,
+// (tests/oracles/reference_sim.hpp): same streams, same sampling order, same states,
 // round by round — see tests/graph/test_graph_determinism.cpp.
 // GraphSimulation keeps the original convenience API on top of the engine;
 // on AgentGraph::complete it reproduces the clique model exactly and is

@@ -153,8 +153,12 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
   };
 
 #if defined(PLURALITY_HAVE_OPENMP)
-  if (resolve_parallelism(options, TrialDriver::Graph, graph.num_nodes()) ==
-      Parallelism::Trials) {
+  const Parallelism parallelism =
+      options.plan ? options.plan->parallelism
+                   : plan_execution(options.trials, TrialDriver::Graph, graph.num_nodes(),
+                                    execution_thread_budget())
+                         .parallelism;
+  if (parallelism == Parallelism::Trials) {
 #pragma omp parallel
     {
       GraphStepWorkspace ws;

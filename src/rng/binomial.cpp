@@ -24,8 +24,7 @@ double stirling_tail(double k) {
 
 }  // namespace
 
-template <class Gen>
-std::uint64_t binomial_inversion(Gen& gen, std::uint64_t n, double p) {
+std::uint64_t binomial_inversion(Xoshiro256pp& gen, std::uint64_t n, double p) {
   PLURALITY_REQUIRE(p > 0.0 && p <= 0.5, "binomial_inversion requires 0 < p <= 0.5");
   const double q = 1.0 - p;
   const double s = p / q;
@@ -49,8 +48,7 @@ std::uint64_t binomial_inversion(Gen& gen, std::uint64_t n, double p) {
   }
 }
 
-template <class Gen>
-std::uint64_t binomial_btrs(Gen& gen, std::uint64_t n, double p) {
+std::uint64_t binomial_btrs(Xoshiro256pp& gen, std::uint64_t n, double p) {
   PLURALITY_REQUIRE(p > 0.0 && p <= 0.5, "binomial_btrs requires 0 < p <= 0.5");
   const double nd = static_cast<double>(n);
   PLURALITY_REQUIRE(nd * p >= 10.0, "binomial_btrs requires n*p >= 10");
@@ -84,8 +82,7 @@ std::uint64_t binomial_btrs(Gen& gen, std::uint64_t n, double p) {
   }
 }
 
-template <class Gen>
-std::uint64_t binomial(Gen& gen, std::uint64_t n, double p) {
+std::uint64_t binomial(Xoshiro256pp& gen, std::uint64_t n, double p) {
   if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;
   // Exploit symmetry so the samplers only ever see p <= 1/2.
@@ -95,15 +92,6 @@ std::uint64_t binomial(Gen& gen, std::uint64_t n, double p) {
   }
   return binomial_btrs(gen, n, p);
 }
-
-
-// The two shipped engines (see binomial.hpp).
-template std::uint64_t binomial<Xoshiro256pp>(Xoshiro256pp&, std::uint64_t, double);
-template std::uint64_t binomial<PhiloxStream>(PhiloxStream&, std::uint64_t, double);
-template std::uint64_t binomial_inversion<Xoshiro256pp>(Xoshiro256pp&, std::uint64_t, double);
-template std::uint64_t binomial_inversion<PhiloxStream>(PhiloxStream&, std::uint64_t, double);
-template std::uint64_t binomial_btrs<Xoshiro256pp>(Xoshiro256pp&, std::uint64_t, double);
-template std::uint64_t binomial_btrs<PhiloxStream>(PhiloxStream&, std::uint64_t, double);
 
 double binomial_log_pmf(std::uint64_t n, double p, std::uint64_t x) {
   PLURALITY_REQUIRE(x <= n, "binomial_log_pmf: x > n");

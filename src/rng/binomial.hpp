@@ -14,14 +14,11 @@
 // The regime threshold is a pure performance knob (both samplers are exact);
 // bench_rng measures the crossover.
 //
-// Like distributions.hpp, the samplers are templates over the generator
-// engine, instantiated for Xoshiro256pp (sequential default) and
-// PhiloxStream (counter-based, block-generated uniforms) in binomial.cpp.
+// The samplers draw from Xoshiro256pp, the generator of every trial stream.
 #pragma once
 
 #include <cstdint>
 
-#include "rng/philox.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace plurality::rng {
@@ -30,18 +27,15 @@ namespace plurality::rng {
 inline constexpr double kInversionThreshold = 14.0;
 
 /// Draws Binomial(n, p). p outside [0,1] is clamped.
-template <class Gen>
-std::uint64_t binomial(Gen& gen, std::uint64_t n, double p);
+std::uint64_t binomial(Xoshiro256pp& gen, std::uint64_t n, double p);
 
 /// Exposed for targeted testing/benchmarks: inversion sampler.
 /// Requires 0 < p <= 0.5.
-template <class Gen>
-std::uint64_t binomial_inversion(Gen& gen, std::uint64_t n, double p);
+std::uint64_t binomial_inversion(Xoshiro256pp& gen, std::uint64_t n, double p);
 
 /// Exposed for targeted testing/benchmarks: BTRS rejection sampler.
 /// Requires 0 < p <= 0.5 and n*p >= 10.
-template <class Gen>
-std::uint64_t binomial_btrs(Gen& gen, std::uint64_t n, double p);
+std::uint64_t binomial_btrs(Xoshiro256pp& gen, std::uint64_t n, double p);
 
 /// log of the Binomial(n,p) pmf at x (used by exact Markov analysis).
 double binomial_log_pmf(std::uint64_t n, double p, std::uint64_t x);

@@ -4,28 +4,19 @@
 // approximations: the count-based simulator IS the Markov chain the paper
 // analyzes, so distributional error would silently bias every experiment.
 //
-// Every sampler is a template over the generator engine, instantiated for
-// the two engines the library ships (definitions live in distributions.cpp,
-// except uniform_below and shuffle, which are defined here so they inline
-// into the stepping kernels and the graph builders):
-//
-//   * Xoshiro256pp  — the sequential default; every pre-existing stream
-//     (golden trajectories, StreamFactory) runs on it, bit-for-bit as
-//     before the generic refactor.
-//   * PhiloxStream  — the counter-based engine (rng/philox.hpp) behind the
-//     batched stepping modes; same sampler algorithms, different uniform
-//     source, so count-based stepping can consume block-generated Philox
-//     uniforms with zero sampler divergence.
-//
-// A `Gen` must provide: result_type = uint64_t, operator()() over the full
-// 64-bit range, and next_double() in [0, 1).
+// The samplers draw from Xoshiro256pp, the generator of every trial and
+// graph stream (golden trajectories, StreamFactory), and are defined in
+// distributions.cpp — except uniform_below and shuffle, which are
+// templates defined here so they inline into the stepping kernels and the
+// graph builders, and so run on any generator (rng::PhiloxStream
+// included). Their `Gen` must provide operator()() over the full 64-bit
+// range.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
-#include "rng/philox.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace plurality::rng {
@@ -65,25 +56,20 @@ inline std::uint64_t uniform_below(Gen& gen, std::uint64_t bound) {
 }
 
 /// Uniform integer in [lo, hi] inclusive.
-template <class Gen>
-std::uint64_t uniform_in(Gen& gen, std::uint64_t lo, std::uint64_t hi);
+std::uint64_t uniform_in(Xoshiro256pp& gen, std::uint64_t lo, std::uint64_t hi);
 
 /// Uniform double in [0, 1).
-template <class Gen>
-double uniform01(Gen& gen);
+double uniform01(Xoshiro256pp& gen);
 
 /// Bernoulli(p) trial; p is clamped to [0, 1].
-template <class Gen>
-bool bernoulli(Gen& gen, double p);
+bool bernoulli(Xoshiro256pp& gen, double p);
 
 /// Standard normal via the Marsaglia polar method (exact up to double
 /// rounding; no tail truncation).
-template <class Gen>
-double standard_normal(Gen& gen);
+double standard_normal(Xoshiro256pp& gen);
 
 /// Exponential(rate = 1) via inversion.
-template <class Gen>
-double standard_exponential(Gen& gen);
+double standard_exponential(Xoshiro256pp& gen);
 
 /// Fisher–Yates shuffle of a span-like range [first, first + count).
 ///

@@ -22,8 +22,7 @@ struct Chain {
 
   [[nodiscard]] bool live() const { return i < steps && remaining > 0; }
 
-  template <class Gen>
-  void draw(Gen& gen) {
+  void draw(Xoshiro256pp& gen) {
     const count_t x = binomial(gen, remaining, cond[i]);
     inout[category[i]] += x;
     remaining -= x;
@@ -111,13 +110,12 @@ Chain indexed_chain(count_t n, std::span<const state_t> states,
 /// Runs each lane's chain to its end. Two lanes alternate draws while both
 /// are live, so the core overlaps their dependent chains; each lane still
 /// draws in its own order from its own generator.
-template <class Gen>
-void run_chains(std::span<const MultinomialLane<Gen>> lanes, Chain* chains) {
+void run_chains(std::span<const MultinomialLane> lanes, Chain* chains) {
   if (lanes.size() == 2) {
     Chain& a = chains[0];
     Chain& b = chains[1];
-    Gen& gen_a = *lanes[0].gen;
-    Gen& gen_b = *lanes[1].gen;
+    Xoshiro256pp& gen_a = *lanes[0].gen;
+    Xoshiro256pp& gen_b = *lanes[1].gen;
     while (a.live() && b.live()) {
       a.draw(gen_a);
       b.draw(gen_b);
@@ -134,8 +132,7 @@ void run_chains(std::span<const MultinomialLane<Gen>> lanes, Chain* chains) {
   }
 }
 
-template <class Gen>
-void require_batch(std::span<const MultinomialLane<Gen>> lanes) {
+void require_batch(std::span<const MultinomialLane> lanes) {
   PLURALITY_REQUIRE(!lanes.empty() && lanes.size() <= kMaxLanes,
                     "multinomial: a batch takes 1 to " << kMaxLanes << " lanes, got "
                                                        << lanes.size());
@@ -143,59 +140,36 @@ void require_batch(std::span<const MultinomialLane<Gen>> lanes) {
 
 }  // namespace
 
-template <class Gen>
-void multinomial_accumulate(std::span<const MultinomialLane<Gen>> lanes) {
+void multinomial_accumulate(std::span<const MultinomialLane> lanes) {
   require_batch(lanes);
   Chain chains[kMaxLanes];
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const MultinomialLane<Gen>& lane = lanes[l];
+    const MultinomialLane& lane = lanes[l];
     chains[l] = dense_chain(lane.n, lane.weights, lane.inout, *lane.ws);
   }
   run_chains(lanes, chains);
 }
 
-template <class Gen>
-void multinomial_accumulate_indexed(std::span<const MultinomialLane<Gen>> lanes) {
+void multinomial_accumulate_indexed(std::span<const MultinomialLane> lanes) {
   require_batch(lanes);
   Chain chains[kMaxLanes];
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const MultinomialLane<Gen>& lane = lanes[l];
+    const MultinomialLane& lane = lanes[l];
     chains[l] = indexed_chain(lane.n, lane.states, lane.weights, lane.inout, *lane.ws);
   }
   run_chains(lanes, chains);
 }
 
-template <class Gen>
-void multinomial(Gen& gen, count_t n, std::span<const double> probs,
+void multinomial(Xoshiro256pp& gen, count_t n, std::span<const double> probs,
                  std::span<count_t> out, MultinomialWorkspace& ws) {
   std::fill(out.begin(), out.end(), count_t{0});
   multinomial_accumulate(gen, n, probs, out, ws);
 }
 
-template <class Gen>
-void multinomial(Gen& gen, count_t n, std::span<const double> probs,
+void multinomial(Xoshiro256pp& gen, count_t n, std::span<const double> probs,
                  std::span<count_t> out) {
   MultinomialWorkspace ws;
   multinomial(gen, n, probs, out, ws);
 }
-
-
-// The two shipped engines (see multinomial.hpp).
-template void multinomial_accumulate<Xoshiro256pp>(
-    std::span<const MultinomialLane<Xoshiro256pp>>);
-template void multinomial_accumulate<PhiloxStream>(
-    std::span<const MultinomialLane<PhiloxStream>>);
-template void multinomial_accumulate_indexed<Xoshiro256pp>(
-    std::span<const MultinomialLane<Xoshiro256pp>>);
-template void multinomial_accumulate_indexed<PhiloxStream>(
-    std::span<const MultinomialLane<PhiloxStream>>);
-template void multinomial<Xoshiro256pp>(Xoshiro256pp&, count_t, std::span<const double>,
-                                        std::span<count_t>, MultinomialWorkspace&);
-template void multinomial<PhiloxStream>(PhiloxStream&, count_t, std::span<const double>,
-                                        std::span<count_t>, MultinomialWorkspace&);
-template void multinomial<Xoshiro256pp>(Xoshiro256pp&, count_t, std::span<const double>,
-                                        std::span<count_t>);
-template void multinomial<PhiloxStream>(PhiloxStream&, count_t, std::span<const double>,
-                                        std::span<count_t>);
 
 }  // namespace plurality::rng

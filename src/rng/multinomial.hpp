@@ -34,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "rng/philox.hpp"
 #include "rng/xoshiro.hpp"
 #include "support/types.hpp"
 
@@ -60,9 +59,8 @@ inline constexpr std::size_t kMaxLanes = 2;
 /// One multinomial of a lockstep batch: Multinomial(n, weights) ADDED into
 /// `inout`, drawn from `*gen` with `*ws` as scratch. Lanes of one batch
 /// share nothing.
-template <class Gen>
 struct MultinomialLane {
-  Gen* gen;
+  Xoshiro256pp* gen;
   count_t n;
   /// Dense kernel: the weight of category j. Indexed kernel: the weight of
   /// category states[i].
@@ -78,18 +76,13 @@ struct MultinomialLane {
 /// exactly to 1 (kernel formulas carry ~1e-15 float error); they are
 /// treated as relative weights with nonnegativity enforced up to -1e-9
 /// slack. Each lane's draws sum to its n.
-/// Template over the generator engine (Xoshiro256pp / PhiloxStream — the
-/// counter-based batched mode feeds block-generated Philox uniforms through
-/// the identical kernel; instantiations live in multinomial.cpp).
-template <class Gen>
-void multinomial_accumulate(std::span<const MultinomialLane<Gen>> lanes);
+void multinomial_accumulate(std::span<const MultinomialLane> lanes);
 
 /// One-lane form of the above.
-template <class Gen>
-void multinomial_accumulate(Gen& gen, count_t n, std::span<const double> probs,
-                            std::span<count_t> inout, MultinomialWorkspace& ws) {
-  const MultinomialLane<Gen> lane{&gen, n, probs, inout, &ws};
-  multinomial_accumulate(std::span<const MultinomialLane<Gen>>(&lane, 1));
+inline void multinomial_accumulate(Xoshiro256pp& gen, count_t n, std::span<const double> probs,
+                                   std::span<count_t> inout, MultinomialWorkspace& ws) {
+  const MultinomialLane lane{&gen, n, probs, inout, &ws};
+  multinomial_accumulate(std::span<const MultinomialLane>(&lane, 1));
 }
 
 /// Sparse-law variant: each lane's distribution is given as (states[i],
@@ -98,28 +91,24 @@ void multinomial_accumulate(Gen& gen, count_t n, std::span<const double> probs,
 /// X_i. Consumes the same RNG stream as multinomial_accumulate() over the
 /// equivalent dense weight vector — this is the O(support) kernel behind
 /// stateful count-based stepping.
-template <class Gen>
-void multinomial_accumulate_indexed(std::span<const MultinomialLane<Gen>> lanes);
+void multinomial_accumulate_indexed(std::span<const MultinomialLane> lanes);
 
 /// One-lane form of the above.
-template <class Gen>
-void multinomial_accumulate_indexed(Gen& gen, count_t n,
-                                    std::span<const state_t> states,
-                                    std::span<const double> weights,
-                                    std::span<count_t> inout, MultinomialWorkspace& ws) {
-  const MultinomialLane<Gen> lane{&gen, n, weights, inout, &ws, states};
-  multinomial_accumulate_indexed(std::span<const MultinomialLane<Gen>>(&lane, 1));
+inline void multinomial_accumulate_indexed(Xoshiro256pp& gen, count_t n,
+                                           std::span<const state_t> states,
+                                           std::span<const double> weights,
+                                           std::span<count_t> inout, MultinomialWorkspace& ws) {
+  const MultinomialLane lane{&gen, n, weights, inout, &ws, states};
+  multinomial_accumulate_indexed(std::span<const MultinomialLane>(&lane, 1));
 }
 
 /// Draws a multinomial sample. `out` receives the counts, out.size() ==
 /// probs.size(), and the counts always sum to n.
-template <class Gen>
-void multinomial(Gen& gen, count_t n, std::span<const double> probs,
+void multinomial(Xoshiro256pp& gen, count_t n, std::span<const double> probs,
                  std::span<count_t> out, MultinomialWorkspace& ws);
 
 /// Workspace-free overload for one-off callers (allocates scratch).
-template <class Gen>
-void multinomial(Gen& gen, count_t n, std::span<const double> probs,
+void multinomial(Xoshiro256pp& gen, count_t n, std::span<const double> probs,
                  std::span<count_t> out);
 
 }  // namespace plurality::rng

@@ -105,13 +105,14 @@ class Philox4x32 {
 
 /// Sequential buffered generator over the Philox word stream — the
 /// counter-based sibling of Xoshiro256pp, exposing the same generator
-/// interface (operator(), next_double, min/max) so the exact samplers
-/// (uniform_below / binomial / multinomial) can run on either engine.
+/// interface (operator(), next_double, min/max), so the header-defined
+/// samplers (uniform_below, shuffle) run on it too. No stepper draws from
+/// it; it is the stream the benchmark times per word, and its word
+/// sequence is pinned by tests/rng/test_philox.cpp.
 ///
-/// Words are produced in blocks of kBufferWords by one flat fill loop (the
-/// "block-generated uniforms" the count-based batched mode feeds into
-/// multinomial_accumulate); the buffer is a fixed in-object array, so the
-/// stream allocates nothing, ever.
+/// Words are produced in blocks of kBufferWords by one flat fill loop; the
+/// buffer is a fixed in-object array, so the stream allocates nothing,
+/// ever.
 class PhiloxStream {
  public:
   using result_type = std::uint64_t;

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "core/registry.hpp"
@@ -85,6 +89,13 @@ std::uint64_t estimate_edges(const std::string& topology, std::uint64_t n) {
   return clique_edges;
 }
 
+/// The whole of a small text file (a /proc or cgroup file), or "" when it
+/// cannot be read.
+std::string read_small_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
 }  // namespace
 
 Resolution resolve(const ScenarioSpec& spec, int threads, std::uint64_t memory_budget_bytes) {
@@ -95,7 +106,10 @@ Resolution resolve(const ScenarioSpec& spec, int threads, std::uint64_t memory_b
   resolved.plan = plan_execution(spec.trials, graph_driver ? TrialDriver::Graph
                                                            : TrialDriver::Count,
                                  spec.n, threads);
-  if (!graph_driver) return resolved;
+  if (!graph_driver) {
+    resolved.spec.engine = "strict";
+    return resolved;
+  }
 
   const auto dynamics = make_dynamics(spec.dynamics);
   resolved.plan.bytes_only = graph::byte_states(dynamics->num_states(spec.k));
@@ -178,10 +192,60 @@ std::uint64_t default_memory_budget_bytes() {
   if (pages > 0 && page > 0) {
     const std::uint64_t physical =
         static_cast<std::uint64_t>(pages) * static_cast<std::uint64_t>(page);
-    return physical - physical / 5;  // keep 20% headroom for the OS
+    std::uint64_t budget = physical - physical / 5;  // keep 20% headroom for the OS
+    // The first limit file that reads is the process's own cgroup's.
+    const std::string self = read_small_file("/proc/self/cgroup");
+    for (const std::string& path : cgroup_memory_limit_files(self)) {
+      const std::string contents = read_small_file(path);
+      if (contents.empty()) continue;
+      if (const auto limit = parse_cgroup_memory_limit(contents, physical)) {
+        budget = std::min(budget, *limit);
+      }
+      break;
+    }
+    return budget;
   }
 #endif
   return kFallback;
+}
+
+std::vector<std::string> cgroup_memory_limit_files(std::string_view proc_self_cgroup) {
+  std::vector<std::string> v1, v2;
+  // Each line is hierarchy-id:controller,...:path; v2's is 0::path.
+  std::istringstream lines{std::string(proc_self_cgroup)};
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t first = line.find(':');
+    if (first == std::string::npos) continue;
+    const std::size_t second = line.find(':', first + 1);
+    if (second == std::string::npos) continue;
+    const std::string controllers = "," + line.substr(first + 1, second - first - 1) + ",";
+    std::string path = line.substr(second + 1);
+    while (!path.empty() && path.back() == '/') path.pop_back();
+    const auto add = [&path](std::vector<std::string>& files, const std::string& mount,
+                             const char* file) {
+      files.push_back(mount + path + "/" + file);
+      if (!path.empty()) files.push_back(mount + "/" + file);
+    };
+    if (controllers == ",," && line.substr(0, first) == "0") {
+      add(v2, "/sys/fs/cgroup", "memory.max");
+    } else if (controllers.find(",memory,") != std::string::npos) {
+      add(v1, "/sys/fs/cgroup/memory", "memory.limit_in_bytes");
+    }
+  }
+  v1.insert(v1.end(), v2.begin(), v2.end());
+  return v1;
+}
+
+std::optional<std::uint64_t> parse_cgroup_memory_limit(std::string_view contents,
+                                                        std::uint64_t physical_bytes) {
+  contents = contents.substr(0, contents.find_last_not_of(" \t\n") + 1);
+  std::uint64_t limit = 0;
+  const char* end = contents.data() + contents.size();
+  const auto [parsed, error] = std::from_chars(contents.data(), end, limit);
+  if (contents.empty() || error != std::errc() || parsed != end || limit >= physical_bytes) {
+    return std::nullopt;
+  }
+  return limit;
 }
 
 }  // namespace plurality::scenario

@@ -9,6 +9,8 @@
 //
 //   backend           ScenarioSpec::resolved_backend(): the clique with an
 //                     exact adoption law -> count, else graph.
+//   engine            "strict" on the count backend, whose one engine it
+//                     is; the graph backend keeps the spec's engine.
 //   topology_backend  graph backend only. clique/gossip are implicit by
 //                     construction; regular/er/gnm/edges have only an arena
 //                     form. ring/torus/lattice:<d> have both, bitwise
@@ -29,6 +31,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/execution_plan.hpp"
 #include "scenario/spec.hpp"
@@ -39,7 +45,8 @@ namespace plurality::scenario {
 struct Resolution {
   /// The input spec with `backend` explicit ("count" or "graph") and, on
   /// the graph backend, `topology_backend` explicit ("arena" or
-  /// "implicit"). The count backend keeps `topology_backend` as given.
+  /// "implicit"). The count backend keeps `topology_backend` as given and
+  /// says `engine` "strict".
   ScenarioSpec spec;
   ExecutionPlan plan;
 };
@@ -66,9 +73,25 @@ struct Resolution {
 /// (validation rejects the spec anyway).
 [[nodiscard]] std::uint64_t estimate_cell_memory_bytes(const Resolution& resolved);
 
-/// The default memory budget: ~80% of physical RAM, or 2 GiB when the
-/// platform won't say. SweepOptions::memory_budget_bytes overrides it for
-/// a sweep.
+/// The default memory budget: the smaller of ~80% of physical RAM and the
+/// memory limit of the process's own cgroup (cgroup_memory_limit_files),
+/// or 2 GiB when the platform won't say. SweepOptions::memory_budget_bytes
+/// overrides it for a sweep.
 [[nodiscard]] std::uint64_t default_memory_budget_bytes();
+
+/// The files that hold the memory limit of the cgroups `proc_self_cgroup`
+/// (the text of /proc/self/cgroup) names, in the order to try them: for a
+/// cgroup v1 `memory` controller line, <path>/memory.limit_in_bytes under
+/// /sys/fs/cgroup/memory, then the file at that mount's root (a container
+/// sees its own cgroup there); for the v2 line `0::<path>`, memory.max
+/// under /sys/fs/cgroup likewise.
+[[nodiscard]] std::vector<std::string> cgroup_memory_limit_files(
+    std::string_view proc_self_cgroup);
+
+/// The limit a memory.max or memory.limit_in_bytes file's `contents` set,
+/// or nullopt for no limit: "max", a value at or above `physical_bytes`
+/// (cgroup v1 writes ~2^63 for none), or text that is not a number.
+[[nodiscard]] std::optional<std::uint64_t> parse_cgroup_memory_limit(
+    std::string_view contents, std::uint64_t physical_bytes);
 
 }  // namespace plurality::scenario

@@ -19,12 +19,13 @@ const graph::AgentGraph& Scenario::graph() const {
   return graph_;
 }
 
-Scenario Scenario::compile(const ScenarioSpec& spec) {
-  Resolution resolved = resolve(spec, execution_thread_budget());  // validates first
+Scenario Scenario::compile(const ScenarioSpec& input) {
+  Resolution resolved = resolve(input, execution_thread_budget());  // validates first
 
   Scenario compiled;
   compiled.spec_ = std::move(resolved.spec);
-  compiled.plan_ = std::move(resolved.plan);
+  // Everything below reads the resolved spec: what runs is what echoes.
+  const ScenarioSpec& spec = compiled.spec_;
 
   compiled.dynamics_ = make_dynamics(spec.dynamics);
   compiled.adversary_ = make_adversary(spec.adversary);
@@ -38,12 +39,12 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   }
   compiled.start_ = std::move(start);
 
-  compiled.use_graph_ = compiled.spec_.backend == "graph";
+  compiled.use_graph_ = spec.backend == "graph";
   if (compiled.use_graph_) {
     // Implicit builds are deterministic and arena-free; arena builds draw
     // their randomness from a dedicated stream family so the SAME seed
     // reproduces the same random graph without touching trial streams.
-    if (compiled.spec_.topology_backend == "implicit") {
+    if (spec.topology_backend == "implicit") {
       compiled.graph_ = graph::make_topology_implicit(spec.topology, spec.n);
     } else {
       rng::Xoshiro256pp topo_gen =
@@ -55,6 +56,7 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   CommonTrialOptions& options = compiled.options_;
   options.trials = spec.trials;
   options.seed = spec.seed;
+  options.plan = std::move(resolved.plan);
   options.max_rounds = spec.max_rounds;
   options.mode = spec.engine == "batched" ? EngineMode::Batched : EngineMode::Strict;
   options.adversary = compiled.adversary_.get();

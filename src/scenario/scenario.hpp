@@ -50,16 +50,16 @@ class Scenario {
   /// The packed topology; only valid when uses_graph_driver().
   [[nodiscard]] const graph::AgentGraph& graph() const;
   /// The unified option set run() passes to the trial driver (adversary
-  /// pointer already wired).
+  /// pointer and plan already wired).
   [[nodiscard]] const CommonTrialOptions& options() const { return options_; }
 
   /// The plan compile() resolved (scenario/resolve.hpp) for the thread
   /// budget at compile time (execution_thread_budget() — 1 inside a
   /// sweep's cells-in-parallel team): the planner's parallelism and lanes
   /// for this scenario's trial count and driver, plus the graph driver's
-  /// state width and SIMD path. run() under the same budget runs this
-  /// plan; run_scenario echoes it into the result.
-  [[nodiscard]] const ExecutionPlan& plan() const { return plan_; }
+  /// state width and SIMD path. options() carries it, so run() runs this
+  /// plan wherever it is called; run_scenario echoes it into the result.
+  [[nodiscard]] const ExecutionPlan& plan() const { return *options_.plan; }
 
   /// Runs the scenario's trials and reduces them to the shared summary.
   /// `observer` (optional) is threaded into the trial driver's per-round
@@ -77,7 +77,6 @@ class Scenario {
   Scenario() = default;
 
   ScenarioSpec spec_;
-  ExecutionPlan plan_;
   std::unique_ptr<Dynamics> dynamics_;
   Configuration start_;
   std::unique_ptr<Adversary> adversary_;

@@ -48,6 +48,9 @@ struct ScenarioSpec {
   /// backend); anything else -> "graph" (sparse topologies, and the
   /// per-agent implicit clique for dynamics without an exact law).
   std::string backend = "auto";
+  /// Stepping pipeline of the graph backend, "strict" or "batched"
+  /// (core/engine_mode.hpp). The count backend has one engine: a count
+  /// spec may say "batched", and resolving it echoes "strict", what runs.
   std::string engine = "strict";
   /// Stop condition, checked after each round on top of the always-on
   /// absorption checks:

@@ -244,6 +244,7 @@ CellScan scan_cell_file(const fs::path& path, const fs::path& quarantine_dir,
     cell.metrics = metrics_from_json(doc);
     cell.resolved = cell.requested;
     cell.resolved.backend = resolved_backend;
+    cell.resolved.engine = doc.at("spec").at("engine").as_string();
     if (const io::JsonValue* retry = doc.get("retry")) {
       cell.attempts = static_cast<std::uint32_t>(retry->at("attempts").as_uint());
       cell.retry_tag = retry->at("stream_tag").as_string();
@@ -279,6 +280,7 @@ void run_cell_to_verdict(CellOutcome& cell, const CellRunContext& ctx) {
   const std::string spec_string = cell.requested.to_spec_string();
   scenario::ScenarioSpec unresolved = cell.resolved;
   unresolved.backend = cell.requested.backend;
+  unresolved.engine = cell.requested.engine;
   unresolved.topology_backend = cell.requested.topology_backend;
   PLURALITY_REQUIRE(unresolved.to_spec_string() == spec_string,
                     "sweep: cell " << cell.id << " has no resolved spec; run preflight_cell "

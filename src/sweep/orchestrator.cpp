@@ -134,7 +134,7 @@ std::vector<std::string> aggregate_row(const SweepSpec& spec, const CellOutcome&
       s.topology,
       s.adversary,
       outcome.resolved.backend,
-      s.engine,
+      outcome.resolved.engine,
       s.stop,
       std::to_string(s.n),
       std::to_string(s.k),

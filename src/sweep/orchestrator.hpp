@@ -110,10 +110,11 @@ struct CellOutcome {
   /// The expanded cell spec as requested (backend may still be "auto") —
   /// the resume and result-cache key.
   scenario::ScenarioSpec requested;
-  /// The spec the cell runs: `requested` with backend and (graph cells)
-  /// topology_backend resolved once at preflight (preflight_cell), under
-  /// the memory budget the cell was admitted with. Resumed cells carry the
-  /// backend their file echoes.
+  /// The spec the cell runs: `requested` with backend, engine (count
+  /// cells say "strict") and (graph cells) topology_backend resolved once
+  /// at preflight (preflight_cell), under the memory budget the cell was
+  /// admitted with. Resumed cells carry the backend and engine their file
+  /// echoes.
   scenario::ScenarioSpec resolved;
   CellStatus status = CellStatus::Pending;
   /// True when --resume accepted an existing result file instead of
@@ -169,7 +170,8 @@ struct SweepOptions {
   FaultPlan fault_plan;
   /// Preflight memory budget in bytes; cells estimated over it are refused
   /// (failed_spec), cells over budget/threads run in the serial phase.
-  /// 0 = ~80% of physical RAM.
+  /// 0 = scenario::default_memory_budget_bytes() (~80% of physical RAM,
+  /// capped at the process's cgroup memory limit).
   std::uint64_t memory_budget_bytes = 0;
   /// Write wall_seconds as 0 everywhere (cell files, aggregate) so two
   /// runs of the same grid produce bitwise-identical artifacts — the

@@ -29,7 +29,6 @@
 #include "graph/step_batched.hpp"
 #include "graph/topology_registry.hpp"
 #include "obs/metrics_observer.hpp"
-#include "rng/philox.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -106,7 +105,7 @@ TEST(ZeroAllocation, CountBasedDenseStatefulSteps) {
 TEST(ZeroAllocation, TwoLaneCountRounds) {
   // The count driver's lockstep rounds: two trials, each with its own
   // generator and workspace, drawn as one batch — shared-law, sparse
-  // stateful and dense stateful dynamics, on both engines.
+  // stateful and dense stateful dynamics.
   std::vector<count_t> counts(300, 0);
   counts[0] = 50000;
   counts[150] = 30000;
@@ -115,15 +114,14 @@ TEST(ZeroAllocation, TwoLaneCountRounds) {
       UndecidedState::extend_with_undecided(Configuration(std::move(counts)));
   const Configuration dense({4000, 3000, 2000, 1000});
   const auto expect_warm_lockstep_free = [](const Dynamics& dyn, const Configuration& start_a,
-                                            const Configuration& start_b, auto gen_a,
-                                            auto gen_b) {
-    using Gen = decltype(gen_a);
+                                            const Configuration& start_b,
+                                            rng::Xoshiro256pp gen_a, rng::Xoshiro256pp gen_b) {
     Configuration a = start_a, b = start_b;
     StepWorkspace ws_a, ws_b;
-    const CountLane<Gen> lanes[] = {{&a, &gen_a, &ws_a}, {&b, &gen_b, &ws_b}};
-    step_count_based(dyn, std::span<const CountLane<Gen>>(lanes));  // warm-up
+    const CountLane lanes[] = {{&a, &gen_a, &ws_a}, {&b, &gen_b, &ws_b}};
+    step_count_based(dyn, std::span<const CountLane>(lanes));  // warm-up
     const std::uint64_t allocs = allocations_during([&] {
-      for (int r = 0; r < 200; ++r) step_count_based(dyn, std::span<const CountLane<Gen>>(lanes));
+      for (int r = 0; r < 200; ++r) step_count_based(dyn, std::span<const CountLane>(lanes));
     });
     EXPECT_EQ(allocs, 0u) << dyn.name();
   };
@@ -132,11 +130,8 @@ TEST(ZeroAllocation, TwoLaneCountRounds) {
   MedianOwnTwo median;
   const Configuration wide = workloads::additive_bias(1000000, 64, 5000);
   expect_warm_lockstep_free(majority, wide, dense, rng::Xoshiro256pp(41), rng::Xoshiro256pp(42));
-  expect_warm_lockstep_free(majority, wide, dense, rng::PhiloxStream(41), rng::PhiloxStream(42));
   expect_warm_lockstep_free(undecided, sparse, UndecidedState::extend_with_undecided(dense),
                             rng::Xoshiro256pp(43), rng::Xoshiro256pp(44));
-  expect_warm_lockstep_free(undecided, sparse, UndecidedState::extend_with_undecided(dense),
-                            rng::PhiloxStream(43), rng::PhiloxStream(44));
   expect_warm_lockstep_free(median, dense, dense, rng::Xoshiro256pp(45), rng::Xoshiro256pp(46));
 }
 
@@ -249,22 +244,6 @@ TEST(ZeroAllocation, GraphWorkspaceWarmsOnceAcrossTrials) {
   // Each trial's start-configuration copy allocates its count vector; the
   // 100 warm rounds themselves must not.
   EXPECT_LE(allocs, 5u);
-}
-
-TEST(ZeroAllocation, CountBasedPhiloxSteps) {
-  // The counter-based generator behind the batched count mode: the word
-  // buffer is a fixed in-object array, so Philox-driven stepping is as
-  // allocation-free as the xoshiro path.
-  UndecidedState dyn;
-  Configuration c = UndecidedState::extend_with_undecided(
-      Configuration({40000, 30000, 20000, 10000}));
-  rng::PhiloxStream gen(11);
-  StepWorkspace ws;
-  step_count_based(dyn, c, gen, ws);  // warm-up
-  const std::uint64_t allocs = allocations_during([&] {
-    for (int r = 0; r < 200; ++r) step_count_based(dyn, c, gen, ws);
-  });
-  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(ZeroAllocation, GraphBatchedModeSteps) {

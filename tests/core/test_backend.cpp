@@ -17,7 +17,6 @@
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "graph/agent_graph.hpp"
-#include "rng/philox.hpp"
 #include "stats/chi_square.hpp"
 #include "support/check.hpp"
 
@@ -181,46 +180,6 @@ TEST_P(BackendEquivalence, OneRoundDistributionsAgree) {
   EXPECT_GT(result.p_value, 1e-6)
       << dynamics.name() << ": backends disagree, stat=" << result.statistic
       << " dof=" << result.dof;
-}
-
-// The generator-engine cross-validation: the identical conditional-binomial
-// kernels driven by block-generated Philox uniforms (rng::PhiloxStream, the
-// count-based batched mode) must sample the same one-round transition as
-// the xoshiro default. Same statistic and test shape as the backend
-// equivalence above.
-TEST(CountBackendPhilox, OneRoundDistributionsMatchXoshiro) {
-  UndecidedState undecided;
-  ThreeMajority majority;
-  for (const Dynamics* dynamics : {static_cast<const Dynamics*>(&majority),
-                                   static_cast<const Dynamics*>(&undecided)}) {
-    const Configuration start = [&] {
-      Configuration base({90, 60, 50});
-      if (dynamics->num_states(3) > 3) {
-        return UndecidedState::extend_with_undecided(base);
-      }
-      return base;
-    }();
-    const int kTrials = 4000;
-    const count_t n = start.n();
-    std::vector<std::uint64_t> xoshiro_hist(n + 1, 0), philox_hist(n + 1, 0);
-    rng::Xoshiro256pp xgen(21);
-    rng::PhiloxStream pgen(22);
-    StepWorkspace ws;
-    for (int t = 0; t < kTrials; ++t) {
-      Configuration c = start;
-      step_count_based(*dynamics, c, xgen, ws);
-      ++xoshiro_hist[c.at(0)];
-    }
-    for (int t = 0; t < kTrials; ++t) {
-      Configuration c = start;
-      step_count_based(*dynamics, c, pgen, ws);
-      ++philox_hist[c.at(0)];
-    }
-    const auto result = stats::chi_square_two_sample(xoshiro_hist, philox_hist);
-    EXPECT_GT(result.p_value, 1e-6)
-        << dynamics->name() << ": engines disagree, stat=" << result.statistic
-        << " dof=" << result.dof;
-  }
 }
 
 const ThreeMajority kMajority;

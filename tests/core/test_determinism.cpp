@@ -26,6 +26,7 @@
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "graph/agent_graph.hpp"
+#include "oracles/count_reference.hpp"
 #include "support/check.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
@@ -113,7 +114,7 @@ TEST(GoldenTrajectories, TrialSummaries) {
     CommonTrialOptions options;
     options.trials = 32;
     options.seed = 99;
-    options.parallelism = Parallelism::Rounds;
+    options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
     const TrialSummary s = run_trials(dyn, Configuration({4000, 3500, 2500}), options);
     EXPECT_EQ(s.consensus_count, 32u);
     EXPECT_EQ(s.plurality_wins, 32u);
@@ -124,7 +125,7 @@ TEST(GoldenTrajectories, TrialSummaries) {
     CommonTrialOptions options;
     options.trials = 24;
     options.seed = 7;
-    options.parallelism = Parallelism::Rounds;
+    options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
     const TrialSummary s = run_trials(
         dyn, UndecidedState::extend_with_undecided(Configuration({4000, 3500, 2500})),
         options);
@@ -218,7 +219,8 @@ TrialSummary majority_trials(bool parallel) {
   CommonTrialOptions options;
   options.trials = 48;
   options.seed = 2026;
-  options.parallelism = parallel ? Parallelism::Trials : Parallelism::Rounds;
+  options.plan =
+      ExecutionPlan{.parallelism = parallel ? Parallelism::Trials : Parallelism::Rounds};
   return run_trials(dyn, Configuration({2000, 1800, 1200}), options);
 }
 

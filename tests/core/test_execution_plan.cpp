@@ -170,12 +170,15 @@ void expect_invariant(const std::string& name, const Run& run) {
 
 constexpr std::uint64_t kTrials = 6;  // not a multiple of 4: uneven teams
 
+/// The planner's plan for the budget (its lanes included) with the
+/// parallelism forced.
 CommonTrialOptions forced(Parallelism parallelism, std::uint64_t seed) {
   CommonTrialOptions options;
   options.trials = kTrials;
   options.seed = seed;
   options.max_rounds = 4000;
-  options.parallelism = parallelism;
+  options.plan = plan_execution(kTrials, TrialDriver::Count, 0, execution_thread_budget());
+  options.plan->parallelism = parallelism;
   return options;
 }
 
@@ -184,19 +187,12 @@ TEST(ExecutionPlanInvariance, CountDriver) {
   UndecidedState undecided;
   const Configuration start = workloads::additive_bias(2400, 3, 400);
   const Configuration start_u = UndecidedState::extend_with_undecided(start);
-  for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
-    const std::string engine = mode == EngineMode::Strict ? "strict" : "batched";
-    expect_invariant("count 3-majority " + engine, [&](Parallelism p) {
-      CommonTrialOptions options = forced(p, 11);
-      options.mode = mode;
-      return run_trials(majority, start, options);
-    });
-    expect_invariant("count undecided " + engine, [&](Parallelism p) {
-      CommonTrialOptions options = forced(p, 12);
-      options.mode = mode;
-      return run_trials(undecided, start_u, options);
-    });
-  }
+  expect_invariant("count 3-majority", [&](Parallelism p) {
+    return run_trials(majority, start, forced(p, 11));
+  });
+  expect_invariant("count undecided", [&](Parallelism p) {
+    return run_trials(undecided, start_u, forced(p, 12));
+  });
 }
 
 TEST(ExecutionPlanInvariance, GraphDriverEveryEngine) {

@@ -3,7 +3,7 @@
 // change a result:
 //
 //  1. A two-lane step equals each lane stepped alone, round by round, for
-//     every exact-law dynamics on both engines, generator states included.
+//     every exact-law dynamics, generator states included.
 //  2. Through run_trials, every trial's outcome (stop reason, rounds,
 //     final counts) is bitwise what run_dynamics gives it alone, and the
 //     TrialSummary is the same whether the thread budget gave the run one
@@ -46,15 +46,14 @@ Configuration in_state_space(const Dynamics& dynamics, const Configuration& colo
              : colors;
 }
 
-template <class Gen>
 void expect_lockstep_matches_alone(const Dynamics& dynamics, const Configuration& start_a,
                                    const Configuration& start_b, std::uint64_t seed) {
   Configuration a = start_a, b = start_b, alone_a = start_a, alone_b = start_b;
-  Gen gen_a(seed), gen_b(seed + 1), alone_gen_a(seed), alone_gen_b(seed + 1);
+  rng::Xoshiro256pp gen_a(seed), gen_b(seed + 1), alone_gen_a(seed), alone_gen_b(seed + 1);
   StepWorkspace ws_a, ws_b, ws_alone;
-  const CountLane<Gen> lanes[] = {{&a, &gen_a, &ws_a}, {&b, &gen_b, &ws_b}};
+  const CountLane lanes[] = {{&a, &gen_a, &ws_a}, {&b, &gen_b, &ws_b}};
   for (int round = 0; round < 25; ++round) {
-    step_count_based(dynamics, std::span<const CountLane<Gen>>(lanes));
+    step_count_based(dynamics, std::span<const CountLane>(lanes));
     step_count_based(dynamics, alone_a, alone_gen_a, ws_alone);
     step_count_based(dynamics, alone_b, alone_gen_b, ws_alone);
     ASSERT_EQ(a, alone_a) << dynamics.name() << " lane A, round " << round;
@@ -71,8 +70,7 @@ TEST_P(LockstepStep, EqualsEachLaneAlone) {
   // Lanes of different k and n, one with an empty class.
   const Configuration a = in_state_space(dynamics, Configuration({400, 0, 250, 200, 150}));
   const Configuration b = in_state_space(dynamics, workloads::additive_bias(30000, 12, 900));
-  expect_lockstep_matches_alone<rng::Xoshiro256pp>(dynamics, a, b, 71);
-  expect_lockstep_matches_alone<rng::PhiloxStream>(dynamics, a, b, 72);
+  expect_lockstep_matches_alone(dynamics, a, b, 71);
 }
 
 const ThreeMajority kMajority;
@@ -105,20 +103,17 @@ TEST(LockstepStep, SparseK301BesideADenseLane) {
       UndecidedState::extend_with_undecided(Configuration(std::move(counts)));
   const Configuration narrow =
       UndecidedState::extend_with_undecided(Configuration({40000, 35000, 15000, 10000}));
-  expect_lockstep_matches_alone<rng::Xoshiro256pp>(kUndecided, wide, narrow, 424242);
-  expect_lockstep_matches_alone<rng::PhiloxStream>(kUndecided, narrow, wide, 777);
+  expect_lockstep_matches_alone(kUndecided, wide, narrow, 424242);
 }
 
 TEST(LockstepStep, RejectsAnEmptyOrOversizedBatch) {
   Configuration c({10, 20});
   rng::Xoshiro256pp gen(1);
   StepWorkspace ws;
-  const CountLane<rng::Xoshiro256pp> lane{&c, &gen, &ws};
-  const CountLane<rng::Xoshiro256pp> three[] = {lane, lane, lane};
-  EXPECT_THROW(step_count_based(kMajority, std::span<const CountLane<rng::Xoshiro256pp>>()),
-               CheckError);
-  EXPECT_THROW(step_count_based(kMajority, std::span<const CountLane<rng::Xoshiro256pp>>(three)),
-               CheckError);
+  const CountLane lane{&c, &gen, &ws};
+  const CountLane three[] = {lane, lane, lane};
+  EXPECT_THROW(step_count_based(kMajority, std::span<const CountLane>()), CheckError);
+  EXPECT_THROW(step_count_based(kMajority, std::span<const CountLane>(three)), CheckError);
 }
 
 #if defined(PLURALITY_HAVE_OPENMP)
@@ -192,7 +187,6 @@ std::vector<RunResult> alone(const Dynamics& dynamics, const ConfigFactory& fact
                              const CommonTrialOptions& options) {
   RunOptions run;
   run.max_rounds = options.max_rounds;
-  run.engine = options.mode;
   run.adversary = options.adversary;
   run.stop_predicate = options.stop_predicate;
   const rng::StreamFactory streams(options.seed);
@@ -284,39 +278,30 @@ ConfigFactory varied(count_t n, state_t k) {
   };
 }
 
-TEST(Lanes, ThreeMajorityStrictAndBatched) {
-  for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
-    CommonTrialOptions options;
-    options.seed = 11;
-    options.max_rounds = 4000;
-    options.mode = mode;
-    const std::string engine = mode == EngineMode::Strict ? "strict" : "batched";
-    expect_lanes_invisible("3-majority " + engine, kMajority, varied(3000, 4), options);
-  }
+TEST(Lanes, ThreeMajority) {
+  CommonTrialOptions options;
+  options.seed = 11;
+  options.max_rounds = 4000;
+  expect_lanes_invisible("3-majority", kMajority, varied(3000, 4), options);
 }
 
 TEST(Lanes, UndecidedIncludingSparseK301) {
-  for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
-    const std::string engine = mode == EngineMode::Strict ? "strict" : "batched";
-    CommonTrialOptions options;
-    options.seed = 12;
-    options.max_rounds = 4000;
-    options.mode = mode;
-    expect_lanes_invisible(
-        "undecided " + engine, kUndecided,
-        fixed(UndecidedState::extend_with_undecided(workloads::additive_bias(2400, 3, 400))),
-        options);
+  CommonTrialOptions options;
+  options.seed = 12;
+  options.max_rounds = 4000;
+  expect_lanes_invisible(
+      "undecided", kUndecided,
+      fixed(UndecidedState::extend_with_undecided(workloads::additive_bias(2400, 3, 400))),
+      options);
 
-    std::vector<count_t> counts(300, 0);
-    counts[0] = 6000;
-    counts[17] = 3000;
-    counts[255] = 1000;
-    options.seed = 13;
-    expect_lanes_invisible(
-        "undecided k=301 " + engine, kUndecided,
-        fixed(UndecidedState::extend_with_undecided(Configuration(std::move(counts)))),
-        options);
-  }
+  std::vector<count_t> counts(300, 0);
+  counts[0] = 6000;
+  counts[17] = 3000;
+  counts[255] = 1000;
+  options.seed = 13;
+  expect_lanes_invisible(
+      "undecided k=301", kUndecided,
+      fixed(UndecidedState::extend_with_undecided(Configuration(std::move(counts)))), options);
 }
 
 TEST(Lanes, AdversaryPredicateObserverAndCancel) {

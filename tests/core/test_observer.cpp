@@ -61,11 +61,10 @@ ProbeObserver make_probe(std::uint64_t trials) {
 }
 
 /// One count-path cell: observer-off vs observer-on must match bitwise.
-void check_count_cell(EngineMode mode, const Adversary* adversary, const char* label) {
+void check_count_cell(const Adversary* adversary, const char* label) {
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(4000, 4, 400);
   CommonTrialOptions options = base_options(8, 99);
-  options.mode = mode;
   options.adversary = adversary;
   if (adversary != nullptr) options.max_rounds = 200;  // some adversaries block consensus
   const TrialSummary off = run_trials(dyn, start, options);
@@ -80,10 +79,9 @@ void check_count_cell(EngineMode mode, const Adversary* adversary, const char* l
 TEST(ObserverEquivalence, CountGrid) {
   const BoostRunnerUp boost(25);
   const FeedWeakest feed(10);
-  check_count_cell(EngineMode::Strict, nullptr, "count/strict");
-  check_count_cell(EngineMode::Batched, nullptr, "count/batched");
-  check_count_cell(EngineMode::Strict, &boost, "count/strict/boost");
-  check_count_cell(EngineMode::Batched, &feed, "count/batched/feed");
+  check_count_cell(nullptr, "count");
+  check_count_cell(&boost, "count/boost");
+  check_count_cell(&feed, "count/feed");
 }
 
 TEST(ObserverEquivalence, CountStopPredicate) {
@@ -152,12 +150,12 @@ TEST(ObserverEquivalence, ThreadCountInvariantWithObserver) {
 
   ProbeObserver parallel_probe = make_probe(options.trials);
   options.observer = &parallel_probe;
-  options.parallelism = Parallelism::Trials;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Trials};
   const TrialSummary parallel_summary = run_trials(dyn, start, options);
 
   ProbeObserver serial_probe = make_probe(options.trials);
   options.observer = &serial_probe;
-  options.parallelism = Parallelism::Rounds;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
   const TrialSummary serial_summary = run_trials(dyn, start, options);
 
   expect_same_summary(parallel_summary, serial_summary);
@@ -223,7 +221,7 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
   {
     SequenceObserver seq(5);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallelism = Parallelism::Rounds;
+    options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
     options.observer = &seq;
     (void)run_trials(dyn, start, options);
     EXPECT_TRUE(seq.all_complete());
@@ -231,7 +229,7 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
   {
     SequenceObserver seq(5);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallelism = Parallelism::Rounds;
+    options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
     options.observer = &seq;
     (void)run_graph_trials(dyn, graph::AgentGraph::complete(start.n()), start, options);
     EXPECT_TRUE(seq.all_complete());
@@ -241,7 +239,7 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
     rng::Xoshiro256pp topo_gen(4);
     const graph::AgentGraph graph = graph::make_topology("regular:6", 2000, topo_gen);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallelism = Parallelism::Rounds;
+    options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
     options.observer = &seq;
     (void)run_graph_trials(dyn, graph, start, options);
     EXPECT_TRUE(seq.all_complete());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/majority.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
@@ -45,9 +47,9 @@ TEST(Trials, ParallelAndSequentialAgreeExactly) {
   CommonTrialOptions parallel_options;
   parallel_options.trials = 32;
   parallel_options.seed = 3;
-  parallel_options.parallelism = Parallelism::Trials;
+  parallel_options.plan = ExecutionPlan{.parallelism = Parallelism::Trials};
   CommonTrialOptions serial_options = parallel_options;
-  serial_options.parallelism = Parallelism::Rounds;
+  serial_options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
 
   const TrialSummary parallel_summary = run_trials(dynamics, start, parallel_options);
   const TrialSummary serial_summary = run_trials(dynamics, start, serial_options);
@@ -65,7 +67,7 @@ TEST(Trials, FactoryReceivesTrialIndexAndStream) {
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 4;
-  options.parallelism = Parallelism::Rounds;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
   const TrialSummary summary = run_trials(
       dynamics,
       [&seen](std::uint64_t trial, rng::Xoshiro256pp& gen) {
@@ -123,6 +125,18 @@ TEST(Trials, ZeroTrialsRejected) {
   CommonTrialOptions options;
   options.trials = 0;
   EXPECT_THROW(run_trials(dynamics, Configuration({1, 1}), options), CheckError);
+}
+
+TEST(Trials, BatchedEngineRejectedNamingTheGraphDriver) {
+  ThreeMajority dynamics;
+  CommonTrialOptions options;
+  options.mode = EngineMode::Batched;
+  try {
+    (void)run_trials(dynamics, Configuration({60, 40}), options);
+    FAIL() << "the count driver ran EngineMode::Batched instead of rejecting it";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("graph::run_graph_trials"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -30,7 +30,7 @@
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
-#include "graph/reference_sim.hpp"
+#include "oracles/reference_sim.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
 #include <omp.h>
@@ -288,7 +288,7 @@ TEST(GoldenGraphTrajectories, GraphTrialSummary) {
   CommonTrialOptions options;
   options.trials = 24;
   options.seed = 31;
-  options.parallelism = Parallelism::Rounds;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
   options.max_rounds = 4000;
   const TrialSummary s =
       run_graph_trials(dyn, graph, workloads::additive_bias(300, 3, 90), options);
@@ -443,7 +443,8 @@ TrialSummary torus_trials(bool parallel) {
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 2026;
-  options.parallelism = parallel ? Parallelism::Trials : Parallelism::Rounds;
+  options.plan =
+      ExecutionPlan{.parallelism = parallel ? Parallelism::Trials : Parallelism::Rounds};
   options.max_rounds = 3000;
   return run_graph_trials(dyn, graph, workloads::additive_bias(100, 2, 40), options);
 }

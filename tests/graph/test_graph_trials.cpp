@@ -114,7 +114,8 @@ TEST(GraphTrials, StopPredicatesStopWithPredicateMet) {
     CommonTrialOptions options;
     options.trials = 5;
     options.seed = 17;
-    options.parallelism = Parallelism::Rounds;  // serial trials for the recorder
+    // Serial trials for the recorder.
+    options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
     options.stop_predicate = c.stop;
     options.observer = &recorder;
     const TrialSummary s = run_graph_trials(*c.dynamics, *c.graph, *c.start, options);
@@ -148,7 +149,7 @@ TEST(GraphTrials, FactoryReceivesTrialIndex) {
   CommonTrialOptions options;
   options.trials = 6;
   options.seed = 3;
-  options.parallelism = Parallelism::Rounds;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
   options.max_rounds = 1;
   std::vector<std::uint8_t> seen(6, 0);
   const TrialSummary s = run_graph_trials(

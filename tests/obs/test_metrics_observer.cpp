@@ -53,25 +53,17 @@ CommonTrialOptions base_options(std::uint64_t trials, std::uint64_t seed) {
   return options;
 }
 
-/// One grid cell: metrics-off vs metrics-on must match bitwise.
-void check_cell(EngineMode mode, const char* label) {
+TEST(MetricsObserver, BitwiseIdenticalOnCountTrials) {
+  // Metrics-off vs metrics-on must match bitwise.
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(4000, 4, 400);
   CommonTrialOptions options = base_options(8, 99);
-  options.mode = mode;
   const TrialSummary off = run_trials(dyn, start, options);
 
   MetricsRegistry registry;
   MetricsObserver observer(registry);
   options.observer = &observer;
-  const TrialSummary on = run_trials(dyn, start, options);
-  SCOPED_TRACE(label);
-  expect_same_summary(on, off);
-}
-
-TEST(MetricsObserver, BitwiseIdenticalAcrossCountEngines) {
-  check_cell(EngineMode::Strict, "count/strict");
-  check_cell(EngineMode::Batched, "count/batched");
+  expect_same_summary(run_trials(dyn, start, options), off);
 }
 
 TEST(MetricsObserver, BitwiseIdenticalOnGraphTrials) {
@@ -109,7 +101,7 @@ TEST(MetricsObserver, CountsAreExact) {
   const count_t n = 3000;
   const Configuration start = workloads::additive_bias(n, 3, 300);
   CommonTrialOptions options = base_options(6, 17);
-  options.parallelism = Parallelism::Rounds;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
 
   MetricsRegistry registry;
   MetricsObserver observer(registry);
@@ -176,14 +168,14 @@ TEST(MetricsObserver, SharedRegistryAcrossParallelTrialsStaysExact) {
   const count_t n = 2000;
   const Configuration start = workloads::additive_bias(n, 3, 200);
   CommonTrialOptions serial = base_options(12, 7);
-  serial.parallelism = Parallelism::Rounds;
+  serial.plan = ExecutionPlan{.parallelism = Parallelism::Rounds};
   MetricsRegistry serial_registry;
   MetricsObserver serial_observer(serial_registry);
   serial.observer = &serial_observer;
   (void)run_trials(dyn, start, serial);
 
   CommonTrialOptions parallel = base_options(12, 7);
-  parallel.parallelism = Parallelism::Trials;
+  parallel.plan = ExecutionPlan{.parallelism = Parallelism::Trials};
   MetricsRegistry parallel_registry;
   MetricsObserver parallel_observer(parallel_registry);
   parallel.observer = &parallel_observer;

@@ -2,7 +2,7 @@
 // seed tree's GraphSimulation verbatim (only the class name and the graph
 // type it reads changed); the determinism suite depends on every RNG draw
 // here staying put.
-#include "graph/reference_sim.hpp"
+#include "oracles/reference_sim.hpp"
 
 #include <array>
 

@@ -1,10 +1,12 @@
 // The pre-refactor per-node graph stepper, kept FROZEN as the bitwise
 // ground truth for the CSR engine (the graph-layer analogue of
-// step_count_based_reference): same hash-derived (round, chunk) streams,
-// same sampling order, per-round allocations and all. Do not optimize it —
+// step_count_based_reference, oracles/count_reference.hpp): same
+// hash-derived (round, chunk) streams, same sampling order, per-round
+// allocations and all. Do not optimize it —
 // tests/graph/test_graph_determinism.cpp pins the fast engine against it
 // round by round and on golden fixed-seed trajectories, and bench_graphs
-// reports the engine's speedup over it as a measured number.
+// reports the engine's speedup over it as a measured number. It lives
+// beside the tests, not in the library: no product path steps with it.
 #pragma once
 
 #include <vector>

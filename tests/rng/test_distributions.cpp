@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "rng/philox.hpp"
 #include "stats/chi_square.hpp"
 #include "support/check.hpp"
 

@@ -216,7 +216,6 @@ TEST(Multinomial, WorkspaceReuseAcrossShapesIsClean) {
 /// A two-lane batch draws each lane exactly as it draws alone: same
 /// counts, same generator state after, on lanes whose chains end at
 /// different draws (a long dense law beside a short one).
-template <class Gen>
 void expect_batch_matches_alone(bool indexed) {
   const std::size_t k = 40;
   std::vector<double> long_law(k), short_law(k, 0.0);
@@ -229,24 +228,24 @@ void expect_batch_matches_alone(bool indexed) {
   std::vector<state_t> long_states(k);
   for (std::size_t j = 0; j < k; ++j) long_states[j] = static_cast<state_t>(j);
 
-  Gen gen_a(31), gen_b(32), alone_a(31), alone_b(32);
+  Xoshiro256pp gen_a(31), gen_b(32), alone_a(31), alone_b(32);
   MultinomialWorkspace ws_a, ws_b, ws_alone;
   std::vector<count_t> out_a(k, 0), out_b(k, 0), want_a(k, 0), want_b(k, 0);
   for (int round = 0; round < 30; ++round) {
     // Lane B's n is tiny in odd rounds, so its chain ends first there.
     const count_t n_b = round % 2 == 1 ? 3 : 200000;
     if (indexed) {
-      const MultinomialLane<Gen> lanes[] = {
+      const MultinomialLane lanes[] = {
           {&gen_a, 1000000, short_weights, out_a, &ws_a, short_states},
           {&gen_b, n_b, long_law, out_b, &ws_b, long_states}};
-      multinomial_accumulate_indexed(std::span<const MultinomialLane<Gen>>(lanes));
+      multinomial_accumulate_indexed(std::span<const MultinomialLane>(lanes));
       multinomial_accumulate_indexed(alone_a, 1000000, short_states, short_weights, want_a,
                                      ws_alone);
       multinomial_accumulate_indexed(alone_b, n_b, long_states, long_law, want_b, ws_alone);
     } else {
-      const MultinomialLane<Gen> lanes[] = {{&gen_a, 1000000, short_law, out_a, &ws_a},
-                                            {&gen_b, n_b, long_law, out_b, &ws_b}};
-      multinomial_accumulate(std::span<const MultinomialLane<Gen>>(lanes));
+      const MultinomialLane lanes[] = {{&gen_a, 1000000, short_law, out_a, &ws_a},
+                                       {&gen_b, n_b, long_law, out_b, &ws_b}};
+      multinomial_accumulate(std::span<const MultinomialLane>(lanes));
       multinomial_accumulate(alone_a, 1000000, short_law, want_a, ws_alone);
       multinomial_accumulate(alone_b, n_b, long_law, want_b, ws_alone);
     }
@@ -258,10 +257,8 @@ void expect_batch_matches_alone(bool indexed) {
 }
 
 TEST(Multinomial, TwoLaneBatchMatchesEachLaneAlone) {
-  expect_batch_matches_alone<Xoshiro256pp>(false);
-  expect_batch_matches_alone<Xoshiro256pp>(true);
-  expect_batch_matches_alone<PhiloxStream>(false);
-  expect_batch_matches_alone<PhiloxStream>(true);
+  expect_batch_matches_alone(false);
+  expect_batch_matches_alone(true);
 }
 
 TEST(Multinomial, BatchTakesOneOrTwoLanes) {
@@ -269,12 +266,10 @@ TEST(Multinomial, BatchTakesOneOrTwoLanes) {
   MultinomialWorkspace ws;
   std::vector<count_t> out(2, 0);
   const std::vector<double> probs = {0.5, 0.5};
-  const MultinomialLane<Xoshiro256pp> lane{&gen, 10, probs, out, &ws};
-  const MultinomialLane<Xoshiro256pp> three[] = {lane, lane, lane};
-  EXPECT_THROW(multinomial_accumulate(std::span<const MultinomialLane<Xoshiro256pp>>()),
-               CheckError);
-  EXPECT_THROW(multinomial_accumulate(std::span<const MultinomialLane<Xoshiro256pp>>(three)),
-               CheckError);
+  const MultinomialLane lane{&gen, 10, probs, out, &ws};
+  const MultinomialLane three[] = {lane, lane, lane};
+  EXPECT_THROW(multinomial_accumulate(std::span<const MultinomialLane>()), CheckError);
+  EXPECT_THROW(multinomial_accumulate(std::span<const MultinomialLane>(three)), CheckError);
 }
 
 }  // namespace

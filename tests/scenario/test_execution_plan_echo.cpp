@@ -2,8 +2,10 @@
 // execution planner resolved for a spec, echoed into the result JSON.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 
+#include "core/observer.hpp"
 #include "graph/step_batched.hpp"
 #include "scenario/scenario.hpp"
 
@@ -90,6 +92,47 @@ TEST(ExecutionPlanEcho, CountRunsEchoTheirLanes) {
       "dynamics=3-majority topology=gossip workload=bias:2c n=1000 k=8 max_rounds=3 "
       "trials=8")));
   EXPECT_EQ(graph.at("plan").at("lanes").as_uint(), 1u);
+}
+
+/// The most trials one thread held in flight at once (begin_trial to
+/// end_trial): the lanes the count driver ran.
+thread_local int open_trials = 0;
+struct LanesObserver final : RoundObserver {
+  void begin_trial(std::uint64_t, const Configuration&, state_t) override {
+    const int open = ++open_trials;
+    for (int seen = lanes; open > seen && !lanes.compare_exchange_weak(seen, open);) {
+    }
+  }
+  void observe_round(std::uint64_t, round_t, const Configuration&, state_t) override {}
+  void end_trial(std::uint64_t, StopReason, round_t, const Configuration&, state_t) override {
+    --open_trials;
+  }
+  std::atomic<int> lanes{0};
+};
+
+TEST(ExecutionPlanEcho, RunRunsThePlanCompileEchoed) {
+  // Compiled outside a team at a 4-thread budget, 4 trials get one lane
+  // per thread. Inside a team the budget is one thread, which would give
+  // them two lanes; run() must still run the one lane it echoes.
+  ThreadCountGuard guard(4);
+  const Scenario compiled = Scenario::compile(ScenarioSpec::parse(
+      "dynamics=3-majority topology=clique workload=bias:2c n=1e6 k=8 max_rounds=3 "
+      "trials=4"));
+  ASSERT_FALSE(compiled.uses_graph_driver());
+  ASSERT_EQ(compiled.plan().threads, 4);
+  ASSERT_EQ(compiled.plan().lanes, 1);
+  LanesObserver observer;
+  bool active = false;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      active = omp_in_parallel() != 0;
+      (void)compiled.run(&observer);
+    }
+  }
+  if (!active) GTEST_SKIP() << "the runtime gave the team one thread";
+  EXPECT_EQ(observer.lanes.load(), compiled.plan().lanes);
 }
 
 TEST(ExecutionPlanEcho, InsideATeamTheBudgetIsOneThread) {

@@ -45,7 +45,6 @@ void expect_same_summary(const TrialSummary& actual, const TrialSummary& expecte
 /// CommonTrialOptions filled field by field, run_trials — exactly what the
 /// pre-scenario binaries wrote.
 TrialSummary legacy_count_run(const ScenarioSpec& spec, const Adversary* adversary,
-                              EngineMode engine,
                               std::function<bool(const Configuration&, round_t)> stop = {}) {
   const auto dynamics = make_dynamics(spec.dynamics);
   Configuration start = workloads::parse_workload(spec.workload, spec.n, spec.k);
@@ -55,9 +54,8 @@ TrialSummary legacy_count_run(const ScenarioSpec& spec, const Adversary* adversa
   CommonTrialOptions options;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallelism = Parallelism::Trials;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Trials};
   options.max_rounds = spec.max_rounds;
-  options.mode = engine;
   options.adversary = adversary;
   options.stop_predicate = std::move(stop);
   return run_trials(*dynamics, start, options);
@@ -80,7 +78,7 @@ TrialSummary legacy_graph_run(const ScenarioSpec& spec, const Adversary* adversa
   CommonTrialOptions options;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallelism = Parallelism::Trials;
+  options.plan = ExecutionPlan{.parallelism = Parallelism::Trials};
   options.shuffle_layout = spec.shuffle_layout;
   options.max_rounds = spec.max_rounds;
   options.adversary = adversary;
@@ -104,7 +102,7 @@ ScenarioSpec base_spec() {
 TEST(ScenarioEquivalence, CountStrict) {
   const ScenarioSpec spec = base_spec();
   expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, nullptr, EngineMode::Strict));
+                      legacy_count_run(spec, nullptr));
 }
 
 TEST(ScenarioEquivalence, CountStrictAdversary) {
@@ -113,40 +111,36 @@ TEST(ScenarioEquivalence, CountStrictAdversary) {
   spec.max_rounds = 300;  // boost-runner-up blocks exact consensus
   const BoostRunnerUp adversary(25);
   expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, &adversary, EngineMode::Strict));
+                      legacy_count_run(spec, &adversary));
 }
 
-TEST(ScenarioEquivalence, CountBatched) {
-  ScenarioSpec spec = base_spec();
-  spec.dynamics = "undecided";
-  spec.engine = "batched";
-  expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, nullptr, EngineMode::Batched));
-}
-
-TEST(ScenarioEquivalence, CountBatchedAdversary) {
-  ScenarioSpec spec = base_spec();
-  spec.engine = "batched";
-  spec.adversary = "feed-weakest:10";
-  spec.max_rounds = 300;
+TEST(ScenarioEquivalence, CountBatchedSpecRunsStrict) {
+  // The count backend has one engine: engine=batched on a count spec is
+  // valid, resolves to strict, and runs bitwise what engine=strict runs.
+  ScenarioSpec strict = base_spec();
+  strict.dynamics = "undecided";
+  strict.adversary = "feed-weakest:10";
+  strict.max_rounds = 300;
+  ScenarioSpec batched = strict;
+  batched.engine = "batched";
+  const ScenarioResult result = run_scenario(batched);
+  EXPECT_EQ(result.resolved.backend, "count");
+  EXPECT_EQ(result.resolved.engine, "strict");
+  expect_same_summary(result.summary, run_scenario(strict).summary);
   const FeedWeakest adversary(10);
-  expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, &adversary, EngineMode::Batched));
+  expect_same_summary(result.summary, legacy_count_run(strict, &adversary));
 }
 
 TEST(ScenarioEquivalence, CountStopPredicate) {
   ScenarioSpec spec = base_spec();
   spec.stop = "m-plurality:1500";
-  expect_same_summary(
-      run_scenario(spec).summary,
-      legacy_count_run(spec, nullptr, EngineMode::Strict,
-                       stop_at_m_plurality(1500, 0)));
+  expect_same_summary(run_scenario(spec).summary,
+                      legacy_count_run(spec, nullptr, stop_at_m_plurality(1500, 0)));
 
   spec.stop = "any-reaches:2500";
-  expect_same_summary(
-      run_scenario(spec).summary,
-      legacy_count_run(spec, nullptr, EngineMode::Strict,
-                       stop_when_any_color_reaches(2500, spec.k)));
+  expect_same_summary(run_scenario(spec).summary,
+                      legacy_count_run(spec, nullptr,
+                                       stop_when_any_color_reaches(2500, spec.k)));
 }
 
 TEST(ScenarioEquivalence, GraphStopPredicate) {

@@ -7,7 +7,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "io/checkpoint.hpp"
 #include "io/json.hpp"
@@ -287,6 +289,37 @@ TEST(Orchestrator, CellFilesEchoTheExecutionPlan) {
         io::read_checkpoint_file((zero_dir / "cells" / (cell.id + ".json")).string());
     EXPECT_FALSE(doc.contains("plan")) << cell.id;
   }
+}
+
+TEST(Orchestrator, AggregateEchoesTheResolvedEngine) {
+  // The count backend has one engine, so its batched cells echo "strict"
+  // beside their strict twins, as `backend` echoes the resolved backend;
+  // graph cells keep the engine they ran. A resume reads the engine back
+  // from the cell files, so its aggregate is the same bytes.
+  const SweepSpec sweep = SweepSpec::parse(
+      "dynamics=3-majority workload=bias:2c n=2000 k=4 trials=3 max_rounds=5000 "
+      "backend=count,graph engine=strict,batched");
+  const fs::path dir = fresh_dir("engine_echo");
+  SweepOptions options;
+  options.out_dir = dir.string();
+  options.zero_wall_times = true;
+  const SweepOutcome outcome = run_sweep(sweep, options);
+  ASSERT_EQ(outcome.cells.size(), 4u);
+  const std::vector<std::string> columns = aggregate_columns(sweep);
+  ASSERT_EQ(columns.at(5), "backend");
+  ASSERT_EQ(columns.at(6), "engine");
+  for (const CellOutcome& cell : outcome.cells) {
+    const std::vector<std::string> row = aggregate_row(sweep, cell);
+    EXPECT_EQ(row.at(6), row.at(5) == "count" ? "strict" : cell.requested.engine) << cell.id;
+  }
+
+  std::ifstream fresh(dir / "aggregate.csv");
+  const std::string fresh_bytes{std::istreambuf_iterator<char>(fresh), {}};
+  options.resume = true;
+  const SweepOutcome resumed = run_sweep(sweep, options);
+  EXPECT_EQ(resumed.resumed, 4u);
+  std::ifstream again(dir / "aggregate.csv");
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(again), {}), fresh_bytes);
 }
 
 TEST(Orchestrator, ObserverProbesLandInCellFilesAndAggregate) {
